@@ -13,8 +13,6 @@
 #include "common/table.hh"
 #include "core/experiment.hh"
 #include "obs/report.hh"
-#include "regmutex/allocator.hh"
-#include "sim/gpu.hh"
 #include "sim/trace.hh"
 #include "workloads/generator.hh"
 
@@ -53,7 +51,10 @@ main(int argc, char **argv)
 
     CompileOptions options;
     options.forcedEs = 16;  // the figure's 16/16 split
-    const RegMutexRun rmx = runRegMutex(p, config, options);
+    // The figure's timeline comes from this run's issue-stage trace.
+    IssueTrace timeline(1 << 16);
+    const RegMutexRun rmx =
+        runRegMutex(p, config, options, ObsSinks{&timeline});
 
     report.addRun(base, {{"policy", "baseline"}});
     report.addRun(rmx.stats, {{"policy", "regmutex"}},
@@ -99,18 +100,7 @@ main(int argc, char **argv)
                  "release-state code and serializes only the "
                  "extended-set regions.\n\n";
 
-    // The figure's timeline, from the issue-stage trace: acquire,
-    // release, stall and lifetime events of the two warps.
-    IssueTrace timeline(1 << 16);
-    {
-        RegMutexAllocator allocator;
-        allocator.prepare(config, rmx.compile.program);
-        SimOptions sim_options;
-        sim_options.mapper = allocator.makeMapper();
-        sim_options.trace = &timeline;
-        simulate(config, rmx.compile.program, allocator,
-                 std::move(sim_options), /*prepare_allocator=*/false);
-    }
+    // Acquire, release, stall and lifetime events of the two warps.
     std::cout << "RegMutex timeline (acquire/release/lifetime events "
                  "only):\n";
     for (const TraceEvent &event : timeline.events()) {

@@ -31,13 +31,10 @@
 #include "analysis/liveness_report.hh"
 #include "common/errors.hh"
 #include "common/table.hh"
-#include "baselines/baseline.hh"
 #include "core/experiment.hh"
 #include "isa/asm_parser.hh"
 #include "isa/disasm.hh"
-#include "regmutex/allocator.hh"
 #include "regmutex/energy.hh"
-#include "sim/gpu.hh"
 #include "sim/trace.hh"
 #include "workloads/suite.hh"
 
@@ -133,59 +130,35 @@ main(int argc, char **argv)
             program = buildWorkload(target);
         }
 
-        SimStats stats;
-        Program executed = program;
+        if (PolicyRegistry::instance().find(policy) == nullptr) {
+            std::cerr << "unknown policy " << policy << "\n";
+            return usage();
+        }
         IssueTrace trace(
             trace_events > 0 ? static_cast<std::size_t>(trace_events)
                              : 1);
         IssueTrace *trace_ptr = trace_events > 0 ? &trace : nullptr;
-        if (policy == "baseline") {
-            BaselineAllocator allocator;
-            allocator.prepare(config, program);
-            SimOptions sim_options;
-            sim_options.mapper = allocator.makeMapper();
-            sim_options.trace = trace_ptr;
-            stats = simulate(config, program, allocator,
-                             std::move(sim_options), false);
-        } else if (policy == "regmutex") {
-            const CompileResult compiled =
-                compileRegMutex(program, config, compile_options);
-            executed = compiled.program;
-            RegMutexAllocator allocator;
-            allocator.prepare(config, executed);
-            SimOptions sim_options;
-            sim_options.mapper = allocator.makeMapper();
-            sim_options.trace = trace_ptr;
-            stats = simulate(config, executed, allocator,
-                             std::move(sim_options), false);
-            const CompileResult &run_compile = compiled;
-            RegMutexRun run{run_compile, stats};
-            if (run.compile.enabled()) {
-                std::cout << "compiled: |Bs| = "
-                          << run.compile.selection.bs << ", |Es| = "
-                          << run.compile.selection.es
+        RunOptions run_options;
+        run_options.compile = compile_options;
+        run_options.gpu.obs.trace = trace_ptr;
+        const PolicyRun run =
+            runPolicy(policy, program, config, run_options);
+        const SimStats &stats = run.stats();
+        const Program &executed = run.compile.program;
+        if (policy == "regmutex") {
+            const CompileResult &compiled = *run.compile.compile;
+            if (compiled.enabled()) {
+                std::cout << "compiled: |Bs| = " << compiled.selection.bs
+                          << ", |Es| = " << compiled.selection.es
                           << ", SRP sections = "
-                          << run.compile.selection.srpSections
-                          << ", acquires = "
-                          << run.compile.injected.acquires
-                          << ", releases = "
-                          << run.compile.injected.releases << "\n";
+                          << compiled.selection.srpSections
+                          << ", acquires = " << compiled.injected.acquires
+                          << ", releases = " << compiled.injected.releases
+                          << "\n";
             } else {
                 std::cout << "compiled: RegMutex not applied (not "
                              "register-limited)\n";
             }
-        } else if (policy == "paired") {
-            RegMutexRun run =
-                runPaired(program, config, compile_options);
-            stats = run.stats;
-            executed = run.compile.program;
-        } else if (policy == "owf") {
-            stats = runOwf(program, config, compile_options);
-        } else if (policy == "rfv") {
-            stats = runRfv(program, config);
-        } else {
-            std::cerr << "unknown policy " << policy << "\n";
-            return usage();
         }
 
         if (trace_ptr) {

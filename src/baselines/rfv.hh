@@ -14,6 +14,7 @@
  * spill (GPU-Shrink models register spilling similarly).
  */
 
+#include <cstdint>
 #include <vector>
 
 #include "sim/allocator.hh"
@@ -39,6 +40,8 @@ class RfvAllocator : public RegisterAllocator
     int maxCtasByRegisters() const override { return maxCtas; }
 
     void onWarpLaunch(SimWarp &warp) override;
+    /** @p inst must be an instruction of the prepared program (the
+     *  engine passes &program.code[pc]); its pc selects the masks. */
     bool canIssue(const SimWarp &warp,
                   const Instruction &inst) const override;
     // canIssue gates on the physical pool (keep the default hint), but
@@ -88,25 +91,20 @@ class RfvAllocator : public RegisterAllocator
     int spillPenalty = 0;
     bool freed = false;
     std::uint64_t spills = 0;
-    /** Registers whose last use is at this pc (dead after issue). */
-    std::vector<std::vector<RegId>> deaths;
     /**
-     * Word-level issue fast path, populated by prepare() when every
-     * register id of the program fits one 64-bit word (always true for
-     * the paper's kernels): per-pc distinct-operand mask and count,
-     * and the death set as a mask. canIssue() admits without touching
-     * the warp's mapping when the pool already covers the distinct
-     * operand count (need can never exceed it), and onIssued() maps
-     * and releases with two word ops instead of per-bit walks. All
-     * three stay empty when any id is >= 64, falling back to the
-     * general paths.
+     * Per-pc word masks built by prepare(): the distinct operands and
+     * their count, and the registers whose last use is at that pc
+     * (dead after issue). canIssue() admits without touching the
+     * warp's mapping when the pool already covers the distinct operand
+     * count (need can never exceed it); onIssued() maps and releases
+     * with two word ops.
      */
     std::vector<std::uint64_t> opMaskByPc;
     std::vector<std::uint8_t> opCountByPc;
     std::vector<std::uint64_t> deathMaskByPc;
 
-    int packsNeeded(const SimWarp &warp, const Instruction &inst) const;
-    void mapOperands(SimWarp &warp, const Instruction &inst);
+    /** Map pc's unmapped operands; returns the newly mapped bits. */
+    std::uint64_t mapOperands(SimWarp &warp, int pc);
 };
 
 } // namespace rm

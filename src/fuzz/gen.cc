@@ -491,8 +491,9 @@ validateCase(const FuzzCase &fc, std::string *why)
         return fail("warp_size must be 32");
     if (g.registersPerSm < 1024 || g.registersPerSm > 262144)
         return fail("registers_per_sm outside [1024, 262144]");
-    if (g.maxWarpsPerSm < 1 || g.maxWarpsPerSm > 128)
-        return fail("max_warps_per_sm outside [1, 128]");
+    if (g.maxWarpsPerSm < 1 || g.maxWarpsPerSm > kEngineWordBits)
+        return fail("max_warps_per_sm outside [1, " +
+                    std::to_string(kEngineWordBits) + "]");
     if (g.maxCtasPerSm < 1 || g.maxCtasPerSm > 64)
         return fail("max_ctas_per_sm outside [1, 64]");
     if (g.maxThreadsPerSm < g.warpSize || g.maxThreadsPerSm > 65536)
@@ -523,8 +524,13 @@ validateCase(const FuzzCase &fc, std::string *why)
     if (k.persistent < 2 || k.persistent > 32)
         return fail("persistent outside [2, 32]");
     const int bg = 1 + k.persistent;
-    if (k.regs < bg + 3 || k.regs > 256)
-        return fail("regs outside [background + 3, 256]");
+    if (k.regs < bg + 3 || k.regs > kEngineWordBits)
+        return fail("regs outside [background + 3, " +
+                    std::to_string(kEngineWordBits) + "]");
+    // RegMutex compilation pads the count to the allocation granularity.
+    if (roundUp(k.regs, g.regAllocGranularity) > kEngineWordBits)
+        return fail("regs rounded up to reg_alloc_granularity exceed " +
+                    std::to_string(kEngineWordBits));
     if (k.ctaThreads < g.warpSize || k.ctaThreads % g.warpSize != 0)
         return fail("cta_threads not a positive multiple of warp_size");
     if (k.ctaThreads > g.maxThreadsPerSm)

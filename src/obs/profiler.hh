@@ -317,7 +317,7 @@ std::string profileTable(const ProfReport &report);
 
 // ---------------------------------------------------------------------
 // Instrumentation macro. Compiles to nothing with RM_PROFILER_DISABLED
-// so the streaming path can be proven untouched by construction.
+// so the cycle loop can be proven untouched by construction.
 // ---------------------------------------------------------------------
 
 #define RM_PROF_CONCAT_IMPL(a, b) a##b

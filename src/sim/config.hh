@@ -13,6 +13,16 @@
 
 namespace rm {
 
+/**
+ * The cycle engine's envelope: at most this many warp slots per SM and
+ * this many registers per thread. Both fit one 64-bit word, so the
+ * scheduler's ready/issue-clean slot sets and each warp's scoreboard
+ * are single words. Every shipped configuration has 48 or 64 slots and
+ * the Table I kernels peak at 44 registers; Gpu::run rejects anything
+ * wider with a FatalError.
+ */
+inline constexpr int kEngineWordBits = 64;
+
 /** Warp scheduler policy. */
 enum class SchedPolicy {
     Gto,  ///< greedy-then-oldest (GPGPU-Sim default, used by the paper)

@@ -30,28 +30,6 @@ ctasPerSmShare(const GpuConfig &config, const Program &program)
 }
 
 SimStats
-simulate(const GpuConfig &config, const Program &program,
-         RegisterAllocator &allocator, SimOptions options,
-         bool prepare_allocator)
-{
-    program.verify();
-    if (prepare_allocator)
-        allocator.prepare(config, program);
-
-    const int ctas = ctasPerSmShare(config, program);
-    fatalIf(allocator.maxCtasByRegisters() <= 0,
-            "simulate: kernel '", program.info.name,
-            "' does not fit the register file under policy '",
-            allocator.name(), "'");
-
-    GlobalMemory gmem(options.log2MemWords, options.memSeed);
-    Sm sm(config, program, allocator, ctas, gmem,
-          std::move(options.mapper), options.trace, options.metrics,
-          options.sampler, options.smId, options.fault);
-    return sm.run();
-}
-
-SimStats
 mergeSmStats(const std::vector<SimStats> &per_sm)
 {
     RM_PROF_SCOPE(ProfPhase::GpuMerge);
@@ -138,84 +116,21 @@ Gpu::Gpu(const GpuConfig &gpu_config, const Program &kernel,
     fatalIf(!factory, "Gpu: no allocator factory");
 }
 
-SimStats
-Gpu::runOneSm(int sm_id, int ctas) const
-{
-    RM_PROF_SCOPE_ARG(ProfPhase::GpuSmRun, sm_id);
-    PreparedAllocator prepared = factory(config, program);
-    fatalIf(!prepared.allocator, "Gpu: allocator factory returned null");
-    fatalIf(prepared.allocator->maxCtasByRegisters() <= 0,
-            "Gpu: kernel '", program.info.name,
-            "' does not fit the register file under policy '",
-            prepared.allocator->name(), "'");
-
-    const ObsSinks sinks = options.sinksForSm
-                               ? options.sinksForSm(sm_id)
-                               : (sm_id == 0 ? options.obs : ObsSinks{});
-
-    // Each SM owns its memory partition: seed memSeed + smId keeps
-    // SM 0 identical to the single-SM model while the other slices
-    // see distinct (deterministic) data.
-    GlobalMemory gmem(options.log2MemWords,
-                      options.memSeed + static_cast<std::uint64_t>(sm_id));
-    // The fault plan applies to the selected SM only (-1: all SMs);
-    // the other SMs get the inert default plan.
-    const bool faulted =
-        options.fault.active() &&
-        (options.faultSm < 0 || options.faultSm == sm_id);
-    Sm sm(config, program, *prepared.allocator, ctas, gmem,
-          std::move(prepared.mapper), sinks.trace, sinks.metrics,
-          sinks.sampler, sm_id, faulted ? options.fault : FaultPlan{});
-    return sm.run();
-}
-
-GpuResult
-Gpu::run()
-{
-    program.verify();
-
-    const bool full = options.mode == GpuOptions::Mode::FullMachine;
-    const int sms = full ? config.numSms : 1;
-    fatalIf(sms <= 0, "Gpu: config has ", sms, " SMs");
-
-    // Budgets, snapshots and resumption need SM state kept alive across
-    // run legs; the plain streaming path below stays untouched (and
-    // bit-identical to the uncontrolled engine) when none are in play.
-    if (options.control.anyLimit() || options.control.sanitize ||
-        options.snapshotEvery > 0 || options.resume != nullptr)
-        return runControlled(sms);
-
-    GpuResult result;
-    result.perSm.resize(static_cast<std::size_t>(sms));
-    parallelFor(
-        sms,
-        [&](int sm_id) {
-            const int ctas =
-                full ? ctasForSm(config, program.info.gridCtas, sm_id)
-                     : ctasPerSmShare(config, program);
-            result.perSm[static_cast<std::size_t>(sm_id)] =
-                runOneSm(sm_id, ctas);
-        },
-        options.threads);
-    result.aggregate = mergeSmStats(result.perSm);
-    return result;
-}
-
 namespace {
 
 /**
- * One SM's live simulation state, kept across run legs of a controlled
- * run so a preempted SM resumes exactly where it stopped. The Sm holds
- * references into `prepared` and `gmem`, so the cell owns all three.
+ * One SM's simulation state across the run legs. The Sm holds
+ * references into `prepared` and `gmem`, so the cell owns all three;
+ * they are built in the SM's first leg and freed by finish(), leaving
+ * only the final statistics.
  */
 struct SmCell
 {
     int ctas = 0;
     bool finished = false;
     SmRunOutcome outcome;
-    /** Final stats of an SM that was already finished in the resume
-     *  snapshot (no Sm is constructed for it). Live cells read
-     *  Sm::currentStats() instead. */
+    /** Final stats once finished (in this run or in the resume
+     *  snapshot). Live cells read Sm::currentStats() instead. */
     SimStats finishedStats;
     PreparedAllocator prepared;
     std::unique_ptr<GlobalMemory> gmem;
@@ -225,14 +140,38 @@ struct SmCell
     {
         return sm ? sm->currentStats() : finishedStats;
     }
+
+    /** Keep the final stats and free the SM, its memory partition and
+     *  its allocator (in that order: the Sm references the others). */
+    void finish()
+    {
+        finishedStats = sm->currentStats();
+        sm.reset();
+        gmem.reset();
+        prepared = PreparedAllocator{};
+        finished = true;
+    }
 };
 
 } // namespace
 
 GpuResult
-Gpu::runControlled(int sms)
+Gpu::run()
 {
+    program.verify();
+    // The engine's one-word envelope (sim/config.hh), checked before
+    // any allocator is prepared.
+    fatalIf(config.maxWarpsPerSm > kEngineWordBits, "Gpu: config has ",
+            config.maxWarpsPerSm, " warp slots per SM; the engine "
+            "supports at most ", kEngineWordBits);
+    fatalIf(program.info.numRegs > kEngineWordBits, "Gpu: kernel '",
+            program.info.name, "' uses ", program.info.numRegs,
+            " registers per thread; the engine supports at most ",
+            kEngineWordBits);
+
     const bool full = options.mode == GpuOptions::Mode::FullMachine;
+    const int sms = full ? config.numSms : 1;
+    fatalIf(sms <= 0, "Gpu: config has ", sms, " SMs");
     const std::uint64_t digest = gpuConfigDigest(config);
     const GpuSnapshot *resume = options.resume.get();
 
@@ -268,59 +207,54 @@ Gpu::runControlled(int sms)
                 throw SnapshotError(
                     "resume snapshot SM entry " + std::to_string(i) +
                     " does not match the engine's grid distribution");
+            if (entry.finished) {
+                cell.finished = true;
+                cell.finishedStats = entry.stats;
+            }
         }
     }
 
-    // Cell construction is the expensive part of a leg-0 start
-    // (allocator prepare() runs liveness analysis; a resumed cell
-    // replays the global-memory diff), so build them in parallel too.
-    parallelFor(
-        sms,
-        [&](int sm_id) {
-            RM_PROF_SCOPE_ARG(ProfPhase::GpuCellBuild, sm_id);
-            SmCell &cell = cells[static_cast<std::size_t>(sm_id)];
-            const GpuSnapshot::SmEntry *entry =
-                resume != nullptr
-                    ? &resume->sms[static_cast<std::size_t>(sm_id)]
-                    : nullptr;
-            if (entry != nullptr && entry->finished) {
-                cell.finished = true;
-                cell.finishedStats = entry->stats;
-                return;
-            }
-            cell.prepared = factory(config, program);
-            fatalIf(!cell.prepared.allocator,
-                    "Gpu: allocator factory returned null");
-            fatalIf(cell.prepared.allocator->maxCtasByRegisters() <= 0,
-                    "Gpu: kernel '", program.info.name,
-                    "' does not fit the register file under policy '",
-                    cell.prepared.allocator->name(), "'");
-            const ObsSinks sinks =
-                options.sinksForSm
-                    ? options.sinksForSm(sm_id)
-                    : (sm_id == 0 ? options.obs : ObsSinks{});
-            cell.gmem = std::make_unique<GlobalMemory>(
-                options.log2MemWords,
-                options.memSeed + static_cast<std::uint64_t>(sm_id));
-            const bool faulted =
-                options.fault.active() &&
-                (options.faultSm < 0 || options.faultSm == sm_id);
-            cell.sm = std::make_unique<Sm>(
-                config, program, *cell.prepared.allocator, cell.ctas,
-                *cell.gmem, std::move(cell.prepared.mapper), sinks.trace,
-                sinks.metrics, sinks.sampler, sm_id,
-                faulted ? options.fault : FaultPlan{});
-            if (entry != nullptr) {
-                SnapshotReader r(entry->state);
-                cell.sm->restoreState(r);
-                if (!r.atEnd())
-                    throw SnapshotError(
-                        "trailing bytes after SM " +
-                        std::to_string(sm_id) +
-                        " state in resume snapshot");
-            }
-        },
-        options.threads);
+    // An SM's first leg builds it: allocator prepare() (liveness
+    // analysis), its memory partition and the Sm, restored from the
+    // resume snapshot when there is one.
+    auto build = [&](int sm_id, SmCell &cell) {
+        RM_PROF_SCOPE_ARG(ProfPhase::GpuCellBuild, sm_id);
+        cell.prepared = factory(config, program);
+        fatalIf(!cell.prepared.allocator,
+                "Gpu: allocator factory returned null");
+        fatalIf(cell.prepared.allocator->maxCtasByRegisters() <= 0,
+                "Gpu: kernel '", program.info.name,
+                "' does not fit the register file under policy '",
+                cell.prepared.allocator->name(), "'");
+        const ObsSinks sinks =
+            options.sinksForSm ? options.sinksForSm(sm_id)
+                               : (sm_id == 0 ? options.obs : ObsSinks{});
+        // Each SM owns its memory partition: seed memSeed + smId keeps
+        // SM 0 identical to the single-SM model while the other slices
+        // see distinct (deterministic) data.
+        cell.gmem = std::make_unique<GlobalMemory>(
+            options.log2MemWords,
+            options.memSeed + static_cast<std::uint64_t>(sm_id));
+        // The fault plan applies to the selected SM only (-1: all
+        // SMs); the other SMs get the inert default plan.
+        const bool faulted =
+            options.fault.active() &&
+            (options.faultSm < 0 || options.faultSm == sm_id);
+        cell.sm = std::make_unique<Sm>(
+            config, program, *cell.prepared.allocator, cell.ctas,
+            *cell.gmem, std::move(cell.prepared.mapper), sinks.trace,
+            sinks.metrics, sinks.sampler, sm_id,
+            faulted ? options.fault : FaultPlan{});
+        if (resume != nullptr) {
+            SnapshotReader r(
+                resume->sms[static_cast<std::size_t>(sm_id)].state);
+            cell.sm->restoreState(r);
+            if (!r.atEnd())
+                throw SnapshotError("trailing bytes after SM " +
+                                    std::to_string(sm_id) +
+                                    " state in resume snapshot");
+        }
+    };
 
     // Serialize the whole machine. Runs between legs on the engine
     // thread, so no cell is being simulated concurrently.
@@ -346,9 +280,8 @@ Gpu::runControlled(int sms)
                 SnapshotWriter w;
                 cell.sm->saveState(w);
                 entry.state = w.take();
-            }
-            if (cell.prepared.allocator)
                 snap.policy = cell.prepared.allocator->name();
+            }
         }
         return snap;
     };
@@ -366,6 +299,8 @@ Gpu::runControlled(int sms)
                 SmCell &cell = cells[static_cast<std::size_t>(sm_id)];
                 if (cell.finished)
                     return;
+                if (!cell.sm)
+                    build(sm_id, cell);
                 RM_PROF_SCOPE_ARG(ProfPhase::GpuSmRun, sm_id);
                 RunControl leg = options.control;
                 if (options.snapshotEvery > 0) {
@@ -377,7 +312,7 @@ Gpu::runControlled(int sms)
                 }
                 cell.outcome = cell.sm->runControlled(leg);
                 if (!cell.outcome.preempted)
-                    cell.finished = true;
+                    cell.finish();
             },
             options.threads);
 

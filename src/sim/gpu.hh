@@ -40,45 +40,14 @@ namespace rm {
 class MetricsRegistry;
 class Sampler;
 
-/** Simulation inputs beyond the kernel and architecture. */
-struct SimOptions
-{
-    std::uint64_t memSeed = 1;
-    int log2MemWords = 20;
-    /**
-     * Operand-collector mapping to verify every access against
-     * (paper Fig. 6). Policies that rename registers (RFV) run without
-     * one.
-     */
-    std::optional<RegisterMapper> mapper;
-    /** Optional issue-stage trace, owned by the caller. */
-    IssueTrace *trace = nullptr;
-    /**
-     * Optional metrics registry (obs/metrics.hh) the SM populates with
-     * named counters/gauges/histograms, and an optional interval
-     * sampler (obs/sampler.hh) ticked once per simulated cycle. Both
-     * are owned by the caller; leaving them null disables the
-     * observability hooks entirely — simulated cycle counts are
-     * identical either way (metrics never feed back into timing).
-     */
-    MetricsRegistry *metrics = nullptr;
-    Sampler *sampler = nullptr;
-    /**
-     * Deterministic fault-injection plan (sim/fault.hh). The default
-     * plan injects nothing and adds no overhead beyond a few branch
-     * checks.
-     */
-    FaultPlan fault;
-    /** SM id recorded in forensics snapshots (single-SM entry point). */
-    int smId = 0;
-};
-
 /**
- * Bundled observability sinks: the facade runners and the Gpu engine
- * build their own SimOptions, so callers pass the sinks separately and
- * the runner threads them in. None of the sink types are thread-safe,
- * so in FullMachine mode each SM needs its own set (see
- * GpuOptions::sinksForSm).
+ * Bundled observability sinks, owned by the caller: an issue-stage
+ * trace, a metrics registry the SM populates with named
+ * counters/gauges/histograms, and an interval sampler ticked once per
+ * simulated cycle (attaching one disables skip-ahead). Leaving them
+ * null disables the hooks; metrics never feed back into timing. None
+ * of the sink types are thread-safe, so in FullMachine mode each SM
+ * needs its own set (see GpuOptions::sinksForSm).
  */
 struct ObsSinks
 {
@@ -144,8 +113,10 @@ struct GpuOptions
     int faultSm = 0;
     /**
      * Per-SM observability sinks; overrides `obs` when set. Called
-     * once per SM id before launch, from the launching thread. The
-     * returned sinks must not be shared between SMs.
+     * once per SM id, when that SM is built in its first leg — from
+     * the pool's threads when options.threads != 1, so it must be
+     * safe to call concurrently for distinct ids. The returned sinks
+     * must not be shared between SMs.
      */
     std::function<ObsSinks(int smId)> sinksForSm;
     /**
@@ -153,8 +124,8 @@ struct GpuOptions
      * maxCycles bounds every SM's simulated clock; the cancellation
      * token and wall deadline are checked at epoch boundaries;
      * control.sanitize enables the per-epoch register-accounting
-     * audit. A default-constructed control leaves the fast streaming
-     * path untouched.
+     * audit. A default-constructed control runs every SM to
+     * completion in one leg.
      */
     RunControl control;
     /**
@@ -222,13 +193,19 @@ class Gpu
     Gpu(const GpuConfig &config, const Program &program,
         AllocatorFactory factory, GpuOptions options = {});
 
-    /** Simulate all SMs to completion and merge their statistics. */
+    /**
+     * Simulate all SMs and merge their statistics. Every run is a loop
+     * of legs: each unfinished SM runs until completion, its next
+     * snapshot boundary or a RunControl limit. An SM's allocator,
+     * memory and Sm are built in its first leg (restored from
+     * options.resume when set) and freed as soon as it finishes.
+     * Throws FatalError when the config or kernel is outside the
+     * engine's envelope (kEngineWordBits warp slots per SM and
+     * registers per thread).
+     */
     GpuResult run();
 
   private:
-    SimStats runOneSm(int sm_id, int ctas) const;
-    GpuResult runControlled(int sms);
-
     const GpuConfig &config;
     const Program &program;
     AllocatorFactory factory;
@@ -239,17 +216,6 @@ class Gpu
 GpuResult simulateGpu(const GpuConfig &config, const Program &program,
                       const AllocatorFactory &factory,
                       GpuOptions options = {});
-
-/**
- * Simulate @p program on one representative SM of @p config under
- * @p allocator (which must already be prepared by the caller, or will
- * be prepared here if @p prepare_allocator is true). This is the seed
- * entry point; the Gpu engine's Representative mode produces
- * bit-identical statistics.
- */
-SimStats simulate(const GpuConfig &config, const Program &program,
-                  RegisterAllocator &allocator, SimOptions options = {},
-                  bool prepare_allocator = true);
 
 /**
  * CTAs SM @p sm_id executes for a @p grid_ctas-CTA grid under

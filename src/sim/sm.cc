@@ -72,7 +72,6 @@ Sm::Sm(const GpuConfig &gpu_config, const Program &kernel,
     }
     fatalIf(warpsPerCta <= 0 || warpsPerCta > config.maxWarpsPerSm,
             "Sm: CTA of ", warpsPerCta, " warps cannot fit the SM");
-    warps.reset(config.maxWarpsPerSm, program.info.numRegs);
     ctas.resize(config.maxCtasPerSm);
     schedLastIssued.assign(config.numSchedulers, -1);
     events.reset(0);
@@ -80,32 +79,25 @@ Sm::Sm(const GpuConfig &gpu_config, const Program &kernel,
 
     allocGatesIssue = allocator.gatesIssue();
     allocBiasesPriority = allocator.biasesPriority();
-    if (program.info.numRegs <= 64) {
-        issueMeta.reserve(program.code.size());
-        bool fits = true;
-        for (const Instruction &inst : program.code) {
-            IssueCheckMeta meta;
-            meta.globalMem = latClass(inst.op) == LatClass::GlobalMem;
-            if (inst.hasDst()) {
-                fits = fits && inst.dst < 64;
-                meta.opMask |= std::uint64_t{1} << (inst.dst & 63);
-            }
-            for (int s = 0; s < inst.numSrcs; ++s) {
-                fits = fits && inst.srcs[s] < 64;
-                meta.opMask |= std::uint64_t{1} << (inst.srcs[s] & 63);
-            }
-            issueMeta.push_back(meta);
-        }
-        if (!fits)
-            issueMeta.clear();
+    // Gpu::run admits only kernels whose registers fit one scoreboard
+    // word, so every operand has a bit in its pc's mask.
+    issueMeta.reserve(program.code.size());
+    for (const Instruction &inst : program.code) {
+        IssueCheckMeta meta;
+        meta.globalMem = latClass(inst.op) == LatClass::GlobalMem;
+        if (inst.hasDst())
+            meta.opMask |= std::uint64_t{1} << inst.dst;
+        for (int s = 0; s < inst.numSrcs; ++s)
+            meta.opMask |= std::uint64_t{1} << inst.srcs[s];
+        issueMeta.push_back(meta);
     }
-    // Hand the table to the warp store so it maintains the incremental
-    // ready/issue-clean masks (no-op when the geometry overflows one
-    // word — the scheduler then falls back to the sweeping scan).
-    warps.setIssueMeta(issueMeta.data(), issueMeta.size(),
-                       config.maxPendingMemPerWarp);
+    // The warp store maintains the scheduler's incremental
+    // ready/issue-clean masks from this table.
+    warps.reset(config.maxWarpsPerSm, program.info.numRegs,
+                issueMeta.data(), issueMeta.size(),
+                config.maxPendingMemPerWarp);
     schedSlotMask.assign(config.numSchedulers, 0);
-    for (int slot = 0; slot < config.maxWarpsPerSm && slot < 64; ++slot)
+    for (int slot = 0; slot < config.maxWarpsPerSm; ++slot)
         schedSlotMask[slot % config.numSchedulers] |=
             std::uint64_t{1} << slot;
 
@@ -261,7 +253,13 @@ Sm::processEvents()
             warps.state(event.warpSlot) == WarpState::WaitSpill) {
             warps.setState(event.warpSlot, WarpState::Ready);
         }
-        lastProgressCycle = cycle;
+        // Only completions are progress. A bare wake (poll-model
+        // acquire retry, conflict penalty, delayed release) re-arms a
+        // warp without moving it; counting it would let a warp whose
+        // acquire can never succeed re-poll forever unseen by the
+        // watchdog.
+        if (event.reg != kNoReg || event.memCompletion)
+            lastProgressCycle = cycle;
     });
 }
 
@@ -279,32 +277,6 @@ Sm::dispatchMemQueue()
         events.push(SimEvent{cycle + latency, req.warpSlot,
                              req.reg, true, false, req.launchOrder});
     }
-}
-
-Sm::BlockReason
-Sm::issueBlockedGeneral(int slot) const
-{
-    const Instruction &inst = program.code[warps.pc(slot)];
-
-    // Scoreboard: RAW / WAW against in-flight writes.
-    if (inst.hasDst() && warps.sbTest(slot, inst.dst))
-        return BlockReason::Scoreboard;
-    for (int s = 0; s < inst.numSrcs; ++s) {
-        if (warps.sbTest(slot, inst.srcs[s]))
-            return BlockReason::Scoreboard;
-    }
-
-    // Structural: outstanding global-memory limit.
-    if (latClass(inst.op) == LatClass::GlobalMem &&
-        warps.pendingMem(slot) >= config.maxPendingMemPerWarp) {
-        return BlockReason::MemStructural;
-    }
-
-    // Policy gate (OWF pair lock, RFV physical registers).
-    if (!allocator.canIssue(warps.warp(slot), inst))
-        return BlockReason::Resource;
-
-    return BlockReason::None;
 }
 
 void
@@ -635,36 +607,19 @@ Sm::park(int slot, WarpState wait_state)
 void
 Sm::schedule(int scheduler)
 {
-    // Candidate warps: slots assigned to this scheduler by parity.
-    auto issuable = [&](int slot) -> bool {
-        if (warps.state(slot) != WarpState::Ready ||
-            warps.warp(slot).ctaSlot < 0) {
-            return false;
-        }
-        return issueBlocked(slot) == BlockReason::None;
-    };
-
-    // Greedy: stick with the last issued warp while it can issue.
+    // Greedy: stick with the last issued warp while it can issue. Ready
+    // warps always have a CTA, and the clean bit caches the scoreboard
+    // + mem-limit verdict.
     const int last = schedLastIssued[scheduler];
-    const bool masks = warps.masksActive();
-    if (config.schedPolicy == SchedPolicy::Gto && last >= 0) {
-        // Mask form of issuable(last): Ready warps always have a CTA,
-        // and the clean bit caches the scoreboard + mem-limit verdict.
-        const bool ok =
-            masks ? ((warps.readyMask() & warps.issueCleanMask()) >>
-                         last &
-                     1) != 0 &&
-                        (!allocGatesIssue ||
-                         allocator.canIssue(
-                             warps.warp(last),
-                             program.code[warps.pc(last)]))
-                  : issuable(last);
-        if (ok) {
-            issue(last);
-            if (warps.state(last) != WarpState::Ready)
-                schedLastIssued[scheduler] = -1;
-            return;
-        }
+    if (config.schedPolicy == SchedPolicy::Gto && last >= 0 &&
+        ((warps.readyMask() & warps.issueCleanMask()) >> last & 1) != 0 &&
+        (!allocGatesIssue ||
+         allocator.canIssue(warps.warp(last),
+                            program.code[warps.pc(last)]))) {
+        issue(last);
+        if (warps.state(last) != WarpState::Ready)
+            schedLastIssued[scheduler] = -1;
+        return;
     }
 
     // Then-oldest with policy priority (owner-warp-first for OWF).
@@ -675,7 +630,6 @@ Sm::schedule(int scheduler)
     bool saw_ready = false;
     const bool gto = config.schedPolicy == SchedPolicy::Gto;
     const int num_slots = config.maxWarpsPerSm;
-    const int stride = config.numSchedulers;
     // GTO breaks ties by age; LRR rotates from the last issued slot.
     const auto key = [&](int slot) -> std::uint64_t {
         if (gto)
@@ -683,87 +637,51 @@ Sm::schedule(int scheduler)
         return static_cast<std::uint64_t>(
             (slot - last - 1 + 2 * num_slots) % num_slots);
     };
-    if (masks) {
-        // Fast scan: iterate set bits of the incrementally maintained
-        // masks instead of sweeping every slot. Same visitation order
-        // (ascending slots of this scheduler's parity class), same
-        // decisions, same side effects as the sweep below.
-        const std::uint64_t ready =
-            warps.readyMask() & schedSlotMask[scheduler];
-        const std::uint64_t clean = warps.issueCleanMask();
-        const std::uint64_t hard_blocked = ready & ~clean;
-        int first_resource = num_slots;
-        for (std::uint64_t m = ready & clean; m != 0; m &= m - 1) {
-            const int slot = __builtin_ctzll(m);
-            if (allocGatesIssue &&
-                !allocator.canIssue(warps.warp(slot),
-                                    program.code[warps.pc(slot)])) {
-                saw_ready = true;
-                if (first_resource == num_slots)
-                    first_resource = slot;
-                // Park policy-blocked warps until resources free up.
-                if (config.wakeOnRelease)
-                    park(slot, WarpState::WaitResource);
-                continue;
-            }
-            const int priority =
-                allocBiasesPriority
-                    ? allocator.schedPriority(warps.warp(slot))
-                    : 0;
-            const std::uint64_t slot_key = key(slot);
-            if (best < 0 || priority > best_priority ||
-                (priority == best_priority && slot_key < best_key)) {
-                best = slot;
-                best_priority = priority;
-                best_key = slot_key;
-            }
-        }
-        // sample_reason is the verdict of the lowest blocked slot —
-        // the first one the sweep would have visited.
-        if (hard_blocked != 0) {
+    // Candidates are this scheduler's slots (slot % numSchedulers),
+    // visited in ascending order through the set bits of the
+    // incrementally maintained ready and issue-clean masks.
+    const std::uint64_t ready = warps.readyMask() & schedSlotMask[scheduler];
+    const std::uint64_t clean = warps.issueCleanMask();
+    const std::uint64_t hard_blocked = ready & ~clean;
+    int first_resource = num_slots;
+    for (std::uint64_t m = ready & clean; m != 0; m &= m - 1) {
+        const int slot = __builtin_ctzll(m);
+        if (allocGatesIssue &&
+            !allocator.canIssue(warps.warp(slot),
+                                program.code[warps.pc(slot)])) {
             saw_ready = true;
-            const int slot = __builtin_ctzll(hard_blocked);
-            if (slot < first_resource) {
-                const IssueCheckMeta &meta = issueMeta[warps.pc(slot)];
-                sample_reason =
-                    (warps.sbWord0(slot) & meta.opMask) != 0
-                        ? BlockReason::Scoreboard
-                        : BlockReason::MemStructural;
-            } else {
-                sample_reason = BlockReason::Resource;
-            }
-        } else if (first_resource < num_slots) {
+            if (first_resource == num_slots)
+                first_resource = slot;
+            // Park policy-blocked warps until resources free up.
+            if (config.wakeOnRelease)
+                park(slot, WarpState::WaitResource);
+            continue;
+        }
+        const int priority =
+            allocBiasesPriority ? allocator.schedPriority(warps.warp(slot))
+                                : 0;
+        const std::uint64_t slot_key = key(slot);
+        if (best < 0 || priority > best_priority ||
+            (priority == best_priority && slot_key < best_key)) {
+            best = slot;
+            best_priority = priority;
+            best_key = slot_key;
+        }
+    }
+    // The stall sample is the verdict of the lowest blocked slot.
+    if (hard_blocked != 0) {
+        saw_ready = true;
+        const int slot = __builtin_ctzll(hard_blocked);
+        if (slot < first_resource) {
+            const IssueCheckMeta &meta = issueMeta[warps.pc(slot)];
+            sample_reason = (warps.sbWord(slot) & meta.opMask) != 0
+                                ? BlockReason::Scoreboard
+                                : BlockReason::MemStructural;
+        } else {
             sample_reason = BlockReason::Resource;
         }
-    } else {
-        for (int slot = scheduler; slot < num_slots; slot += stride) {
-            if (warps.state(slot) != WarpState::Ready ||
-                warps.warp(slot).ctaSlot < 0) {
-                continue;
-            }
-            const BlockReason reason = issueBlocked(slot);
-            if (reason != BlockReason::None) {
-                saw_ready = true;
-                if (sample_reason == BlockReason::None)
-                    sample_reason = reason;
-                // Park policy-blocked warps until resources free up.
-                if (reason == BlockReason::Resource &&
-                    config.wakeOnRelease)
-                    park(slot, WarpState::WaitResource);
-                continue;
-            }
-            const int priority =
-                allocBiasesPriority
-                    ? allocator.schedPriority(warps.warp(slot))
-                    : 0;
-            const std::uint64_t slot_key = key(slot);
-            if (best < 0 || priority > best_priority ||
-                (priority == best_priority && slot_key < best_key)) {
-                best = slot;
-                best_priority = priority;
-                best_key = slot_key;
-            }
-        }
+    } else if (first_resource < num_slots) {
+        sample_reason = BlockReason::Resource;
     }
 
     if (best >= 0) {
@@ -1012,14 +930,6 @@ Sm::captureDiagnosis(DeadlockCause cause, bool watchdog_expired) const
         diag->warps.push_back(std::move(snap));
     }
     return diag;
-}
-
-SimStats
-Sm::run()
-{
-    const SmRunOutcome outcome = runControlled(RunControl{});
-    panicIf(outcome.preempted, "Sm::run: preempted without any limit set");
-    return stats;
 }
 
 SmRunOutcome

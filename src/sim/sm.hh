@@ -81,20 +81,16 @@ class Sm
        Sampler *sampler = nullptr, int sm_id = 0, FaultPlan fault = {});
 
     /**
-     * Simulate to completion (or declared deadlock — see
-     * SimStats::deadlocked/hang); throws SimulationError with an
-     * attached HangDiagnosis when the watchdog expires.
-     */
-    SimStats run();
-
-    /**
      * Simulate under @p control: stop early with a Preempted outcome
      * when the cycle budget, the cancellation token or the wall
      * deadline fires, and (when control.sanitize) audit register
      * accounting every epoch — throwing SanitizerError on the first
      * violation. Callable repeatedly: a preempted Sm resumes exactly
-     * where it stopped. With a default-constructed control this is
-     * run() and pays no per-cycle overhead beyond one branch.
+     * where it stopped. With a default-constructed control it runs to
+     * completion (or declared deadlock — see SimStats::deadlocked/hang)
+     * and pays no per-cycle overhead beyond one branch; it throws
+     * SimulationError with an attached HangDiagnosis when the watchdog
+     * expires.
      */
     SmRunOutcome runControlled(const RunControl &control);
 
@@ -190,20 +186,18 @@ class Sm
     /**
      * Per-instruction issue-check metadata, precomputed once at
      * construction: the union of all operand scoreboard bits as one
-     * word plus the global-memory flag, so issueBlocked() on the
-     * scheduler's candidate sweep is two loads and a mask instead of a
-     * per-operand scoreboard walk plus a latency-class switch. Empty
-     * when the kernel does not fit one scoreboard word (> 64
-     * registers) — the general path then serves every call. The same
-     * table powers the WarpStore's incremental issue-clean mask
-     * (warp_store.hh), which the scheduler's fast scan iterates.
+     * word plus the global-memory flag, so issueBlocked() is two loads
+     * and a mask instead of a per-operand scoreboard walk plus a
+     * latency-class switch. The same table powers the WarpStore's
+     * incremental issue-clean mask (warp_store.hh), which the
+     * scheduler scans.
      */
     std::vector<IssueCheckMeta> issueMeta;
     /** Devirtualization hints cached off the allocator (allocator.hh). */
     bool allocGatesIssue = true;
     bool allocBiasesPriority = true;
     /** Bit set of slots owned by each scheduler (slot % numSchedulers);
-     *  masks the WarpStore ready/clean words in the fast scan. */
+     *  masks the WarpStore ready/clean words in the scheduler scan. */
     std::vector<std::uint64_t> schedSlotMask;
     /**
      * Precomputed operand verification for the RegMutex mapper: the
@@ -263,15 +257,8 @@ class Sm
 
     /** Block reason when a Ready warp cannot issue this cycle. */
     enum class BlockReason { None, Scoreboard, MemStructural, Resource };
-    /**
-     * Why warp @p slot cannot issue this cycle (None when it can).
-     * Defined inline below so the scheduler's candidate sweep — the
-     * hottest loop in the engine — inlines the precomputed-mask fast
-     * path; kernels that overflow one scoreboard word take the
-     * out-of-line general path instead (same decisions).
-     */
+    /** Why warp @p slot cannot issue this cycle (None when it can). */
     BlockReason issueBlocked(int slot) const;
-    BlockReason issueBlockedGeneral(int slot) const;
 
     void issue(int slot);
     void verifyOperands(const SimWarp &warp, const Instruction &inst,
@@ -329,12 +316,10 @@ class Sm
 inline Sm::BlockReason
 Sm::issueBlocked(int slot) const
 {
-    if (issueMeta.empty())
-        return issueBlockedGeneral(slot);
     const int pc = warps.pc(slot);
     const IssueCheckMeta &meta = issueMeta[pc];
     // Scoreboard: RAW / WAW against in-flight writes, one mask test.
-    if (warps.sbWord0(slot) & meta.opMask)
+    if (warps.sbWord(slot) & meta.opMask)
         return BlockReason::Scoreboard;
     // Structural: outstanding global-memory limit.
     if (meta.globalMem &&

@@ -109,7 +109,7 @@ const char *preemptReasonName(PreemptReason reason);
 /**
  * Budget / deadline / sanitizer knobs of one controlled run. The
  * default-constructed control is inert: the SM hot loop pays nothing
- * (Sm::run() forwards to the controlled path with this default).
+ * (an unbudgeted Gpu::run hands every SM leg this default).
  *
  * maxCycles is checked every cycle (so a snapshot can be taken at an
  * exact cycle); the cancellation token, the wall deadline and the

@@ -6,7 +6,7 @@
  * Issue-stage event trace for debugging and for visualizing the
  * Fig. 2-style warp timelines: a bounded ring buffer of
  * (cycle, warp, pc, event) records the SM appends to when a trace is
- * attached (SimOptions::trace). Dumping renders one line per event
+ * attached (ObsSinks::trace). Dumping renders one line per event
  * with the disassembled instruction — the moral equivalent of gem5's
  * Exec tracing, bounded so long runs cannot exhaust memory.
  */

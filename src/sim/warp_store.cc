@@ -5,14 +5,14 @@
 namespace rm {
 
 void
-WarpStore::reset(int slots, int num_regs)
+WarpStore::reset(int slots, int num_regs, const IssueCheckMeta *meta,
+                 std::size_t count, int max_pending)
 {
     fatalIf(slots <= 0, "WarpStore: ", slots, " warp slots");
     fatalIf(num_regs < 0, "WarpStore: ", num_regs, " registers");
     numSlots_ = slots;
     regCount_ = num_regs;
     regStride_ = static_cast<std::size_t>(num_regs);
-    sbStride_ = (num_regs + 63) / 64;
 
     cold_.assign(static_cast<std::size_t>(slots), SimWarp{});
     for (int slot = 0; slot < slots; ++slot)
@@ -22,44 +22,16 @@ WarpStore::reset(int slots, int num_regs)
     pc_.assign(static_cast<std::size_t>(slots), 0);
     pendingMem_.assign(static_cast<std::size_t>(slots), 0);
     wakeAt_.assign(static_cast<std::size_t>(slots), 0);
-    sb_.assign(static_cast<std::size_t>(slots) *
-                   static_cast<std::size_t>(sbStride_),
-               0);
+    sb_.assign(static_cast<std::size_t>(slots), 0);
     regSlab_.assign(static_cast<std::size_t>(slots) * regStride_, 0);
 
-    // New geometry invalidates any prior issue metadata; the owner
-    // re-activates via setIssueMeta() once it has rebuilt the table.
-    meta_ = nullptr;
-    metaCount_ = 0;
-    maxPendingMem_ = 0;
-    readyMask_ = 0;
-    cleanMask_ = 0;
-}
-
-void
-WarpStore::setIssueMeta(const IssueCheckMeta *meta, std::size_t count,
-                        int max_pending)
-{
-    // The masks are one word wide: more slots, a multi-word scoreboard,
-    // or no metadata leaves the store in slow mode (scheduler sweeps).
-    if (meta == nullptr || count == 0 || numSlots_ > 64 ||
-        sbStride_ != 1) {
-        meta_ = nullptr;
-        metaCount_ = 0;
-        readyMask_ = 0;
-        cleanMask_ = 0;
-        return;
-    }
     meta_ = meta;
     metaCount_ = count;
     maxPendingMem_ = max_pending;
     readyMask_ = 0;
     cleanMask_ = 0;
-    for (int slot = 0; slot < numSlots_; ++slot) {
-        if (state(slot) == WarpState::Ready)
-            readyMask_ |= std::uint64_t{1} << slot;
+    for (int slot = 0; slot < numSlots_; ++slot)
         recomputeClean(slot);
-    }
 }
 
 Bitmask

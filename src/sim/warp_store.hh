@@ -11,12 +11,15 @@
  * fields live in flat parallel arrays indexed by slot:
  *
  *   - state / pc / pendingMem / wakeAt: one contiguous array each, so
- *     the scheduler's slot sweep walks cache lines, not objects;
- *   - the scoreboard: one u64 word-span per slot inside a single
- *     allocation (registers per kernel <= 64 in practice, so a test is
- *     one load + mask, no Bitmask bounds machinery);
+ *     per-slot walks touch cache lines, not objects;
+ *   - the scoreboard: one u64 word per slot (the engine admits at most
+ *     kEngineWordBits registers per thread, sim/config.hh), so a test
+ *     is one load + mask, no Bitmask bounds machinery;
  *   - architected registers: one flat slab, slot-major with stride =
- *     program register count, handed to executeStep() as a raw pointer.
+ *     program register count, handed to executeStep() as a raw pointer;
+ *   - ready / issue-clean slot sets: one word each (at most
+ *     kEngineWordBits slots), maintained incrementally by every
+ *     mutator so the scheduler iterates set bits instead of sweeping.
  *
  * Cold identity and policy fields (CTA coordinates, SRP section, RFV
  * mapping mask, ...) stay in SimWarp (sim/warp.hh); the store owns
@@ -36,8 +39,7 @@ namespace rm {
  * Per-instruction operand metadata for the O(1) issue check: the union
  * of destination and source scoreboard bits, and whether the opcode is
  * a global-memory access (subject to the per-warp pending-memory
- * limit). Built once per program by the Sm when every register index
- * fits a single scoreboard word; indexed by pc.
+ * limit). Built once per program by the Sm; indexed by pc.
  */
 struct IssueCheckMeta
 {
@@ -48,9 +50,15 @@ struct IssueCheckMeta
 class WarpStore
 {
   public:
-    /** Size for @p slots warp slots of @p num_regs registers each;
-     *  drops all previous contents. */
-    void reset(int slots, int num_regs);
+    /**
+     * Size for @p slots warp slots (<= kEngineWordBits) of @p num_regs
+     * registers each (<= kEngineWordBits), dropping all previous
+     * contents. @p meta (indexed by pc, @p count entries) drives the
+     * issue-clean mask and must outlive the store's current geometry;
+     * @p max_pending is the per-warp global-memory limit.
+     */
+    void reset(int slots, int num_regs, const IssueCheckMeta *meta,
+               std::size_t count, int max_pending);
 
     int numSlots() const { return numSlots_; }
     int regCount() const { return regCount_; }
@@ -67,11 +75,9 @@ class WarpStore
     void setState(int slot, WarpState s)
     {
         state_[asIdx(slot)] = static_cast<std::uint8_t>(s);
-        if (meta_ != nullptr) {
-            const std::uint64_t bit = std::uint64_t{1} << slot;
-            readyMask_ = s == WarpState::Ready ? (readyMask_ | bit)
-                                               : (readyMask_ & ~bit);
-        }
+        const std::uint64_t bit = std::uint64_t{1} << slot;
+        readyMask_ = s == WarpState::Ready ? (readyMask_ | bit)
+                                           : (readyMask_ & ~bit);
     }
     bool resident(int slot) const
     {
@@ -83,22 +89,19 @@ class WarpStore
     void setPc(int slot, int pc)
     {
         pc_[asIdx(slot)] = pc;
-        if (meta_ != nullptr)
-            recomputeClean(slot);
+        recomputeClean(slot);
     }
 
     int pendingMem(int slot) const { return pendingMem_[asIdx(slot)]; }
     void setPendingMem(int slot, int n)
     {
         pendingMem_[asIdx(slot)] = n;
-        if (meta_ != nullptr)
-            recomputeClean(slot);
+        recomputeClean(slot);
     }
     void addPendingMem(int slot, int delta)
     {
         pendingMem_[asIdx(slot)] += delta;
-        if (meta_ != nullptr)
-            recomputeClean(slot);
+        recomputeClean(slot);
     }
 
     std::uint64_t wakeAt(int slot) const { return wakeAt_[asIdx(slot)]; }
@@ -126,47 +129,31 @@ class WarpStore
     // --- Scoreboard (in-flight register writes) ---
     bool sbTest(int slot, RegId reg) const
     {
-        return (sbWord(slot, reg) >> (reg & 63)) & 1;
+        return (sb_[asIdx(slot)] >> reg) & 1;
     }
     void sbSet(int slot, RegId reg)
     {
-        sbWord(slot, reg) |= std::uint64_t{1} << (reg & 63);
-        if (meta_ != nullptr)
-            recomputeClean(slot);
+        sb_[asIdx(slot)] |= std::uint64_t{1} << reg;
+        recomputeClean(slot);
     }
     void sbClear(int slot, RegId reg)
     {
-        sbWord(slot, reg) &= ~(std::uint64_t{1} << (reg & 63));
-        if (meta_ != nullptr)
-            recomputeClean(slot);
+        sb_[asIdx(slot)] &= ~(std::uint64_t{1} << reg);
+        recomputeClean(slot);
     }
     void sbReset(int slot)
     {
-        std::uint64_t *words = &sb_[asIdx(slot) * sbStride_];
-        for (int i = 0; i < sbStride_; ++i)
-            words[i] = 0;
-        if (meta_ != nullptr)
-            recomputeClean(slot);
+        sb_[asIdx(slot)] = 0;
+        recomputeClean(slot);
     }
-    /**
-     * The slot's entire scoreboard as one word — only meaningful when
-     * the kernel's register count fits a single word (regCount() <=
-     * 64, i.e. every kernel this repo generates). The scheduler's
-     * fast issue check ANDs this against a precomputed per-instruction
-     * operand mask instead of testing registers one by one.
-     */
-    std::uint64_t sbWord0(int slot) const
-    {
-        return sb_[asIdx(slot) * sbStride_];
-    }
+    /** The slot's scoreboard as one word (bit r = register r has a
+     *  write in flight); the issue check ANDs it against a
+     *  per-instruction operand mask. */
+    std::uint64_t sbWord(int slot) const { return sb_[asIdx(slot)]; }
 
     int sbCount(int slot) const
     {
-        const std::uint64_t *words = &sb_[asIdx(slot) * sbStride_];
-        int n = 0;
-        for (int i = 0; i < sbStride_; ++i)
-            n += __builtin_popcountll(words[i]);
-        return n;
+        return __builtin_popcountll(sb_[asIdx(slot)]);
     }
 
     /** Scoreboard as a Bitmask (snapshot codec; never the hot path). */
@@ -174,26 +161,10 @@ class WarpStore
     void sbFromBitmask(int slot, const Bitmask &mask);
 
     // --- Incremental scheduler masks ---
-    /**
-     * Activate the O(1) candidate masks: readyMask() tracks slots in
-     * WarpState::Ready and issueCleanMask() tracks slots whose current
-     * instruction passes the scoreboard and memory-structural issue
-     * checks. Both are maintained incrementally by the mutators above
-     * (a handful of recomputes per cycle), so the scheduler iterates
-     * set bits instead of sweeping every slot every cycle. Engages
-     * only when the geometry fits one word (<= 64 slots, single
-     * scoreboard word); otherwise the store stays in slow mode and
-     * masksActive() is false. @p meta (indexed by pc, @p count
-     * entries) must outlive the current geometry; reset() deactivates.
-     */
-    void setIssueMeta(const IssueCheckMeta *meta, std::size_t count,
-                      int max_pending);
-
-    bool masksActive() const { return meta_ != nullptr; }
-    /** Slots in WarpState::Ready (valid only when masksActive()). */
+    /** Slots in WarpState::Ready. */
     std::uint64_t readyMask() const { return readyMask_; }
-    /** Slots passing scoreboard + mem-structural checks at their
-     *  current pc (valid only when masksActive()). */
+    /** Slots passing the scoreboard + mem-structural issue checks at
+     *  their current pc. */
     std::uint64_t issueCleanMask() const { return cleanMask_; }
 
   private:
@@ -220,21 +191,10 @@ class WarpStore
     {
         return static_cast<std::size_t>(slot);
     }
-    std::uint64_t &sbWord(int slot, RegId reg)
-    {
-        return sb_[asIdx(slot) * sbStride_ +
-                   static_cast<std::size_t>(reg >> 6)];
-    }
-    const std::uint64_t &sbWord(int slot, RegId reg) const
-    {
-        return sb_[asIdx(slot) * sbStride_ +
-                   static_cast<std::size_t>(reg >> 6)];
-    }
 
     int numSlots_ = 0;
     int regCount_ = 0;
     std::size_t regStride_ = 0;
-    int sbStride_ = 0;
 
     const IssueCheckMeta *meta_ = nullptr;
     std::size_t metaCount_ = 0;

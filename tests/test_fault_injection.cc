@@ -171,6 +171,34 @@ TEST(FaultInjection, DelayedReleaseTripsTheWatchdog)
     }
 }
 
+TEST(FaultInjection, PollModelNeverGrantedAcquireTripsTheWatchdog)
+{
+    // Under the poll model a denied acquire re-polls every 20 cycles.
+    // Those retry wakes move nothing, so they must not count as
+    // progress: the run has to end at the watchdog instead of
+    // re-polling forever.
+    GpuConfig config = gtx480Config();
+    config.wakeOnRelease = false;
+    config.watchdogCycles = 20'000;
+    const SimStats healthy = runFaulted("BFS", "regmutex", {}, config);
+    FaultPlan fault;
+    fault.denyAcquire = {0, kForever};
+
+    try {
+        runFaulted("BFS", "regmutex", fault, config);
+        FAIL() << "expected SimulationError";
+    } catch (const SimulationError &e) {
+        ASSERT_TRUE(e.diagnosis());
+        const HangDiagnosis &diag = *e.diagnosis();
+        EXPECT_TRUE(diag.watchdogExpired);
+        // Every warp stalls at its first acquire, well before the
+        // healthy run ends; the watchdog fires one budget later.
+        EXPECT_LE(diag.cycle,
+                  healthy.cycles +
+                      static_cast<std::uint64_t>(config.watchdogCycles));
+    }
+}
+
 TEST(FaultInjection, MemSpikeSlowsTheRunDeterministically)
 {
     FaultPlan spike;

@@ -61,6 +61,36 @@ TEST(FuzzGen, GeneratedCasesAreValid)
     }
 }
 
+TEST(FuzzGen, ValidateRejectsCasesOutsideTheEngineEnvelope)
+{
+    // A hand-edited repro wider than the engine's one-word envelope
+    // must fail validation by name, not surface as a run error.
+    const FuzzCase fc = generateCase(0x431);
+    ASSERT_TRUE(validateCase(fc));
+
+    FuzzCase slots = fc;
+    slots.config.maxWarpsPerSm = kEngineWordBits + 1;
+    std::string why;
+    EXPECT_FALSE(validateCase(slots, &why));
+    EXPECT_NE(why.find("max_warps_per_sm"), std::string::npos) << why;
+
+    FuzzCase regs = fc;
+    regs.kernel.regs = kEngineWordBits + 1;
+    why.clear();
+    EXPECT_FALSE(validateCase(regs, &why));
+    EXPECT_NE(why.find("regs outside"), std::string::npos) << why;
+
+    // RegMutex pads to the allocation granularity: 63 registers at a
+    // granularity of 5 would compile to 65.
+    FuzzCase padded = fc;
+    padded.kernel.regs = 63;
+    padded.config.regAllocGranularity = 5;
+    why.clear();
+    EXPECT_FALSE(validateCase(padded, &why));
+    EXPECT_NE(why.find("reg_alloc_granularity"), std::string::npos)
+        << why;
+}
+
 TEST(FuzzGen, GeneratorCoversTheSpace)
 {
     std::set<std::string> archs;

@@ -9,7 +9,6 @@
 
 #include "analysis/cfg.hh"
 #include "analysis/liveness.hh"
-#include "baselines/baseline.hh"
 #include "baselines/owf.hh"
 #include "common/errors.hh"
 #include "compiler/edit.hh"
@@ -82,24 +81,12 @@ TEST(Robustness, HeadlineResultHoldsAcrossMemorySeeds)
     const Program p = buildWorkload("BFS");
     const GpuConfig config = gtx480Config();
     for (std::uint64_t seed : {1ull, 7ull, 1234567ull}) {
-        SimOptions base_options;
-        base_options.memSeed = seed;
-        BaselineAllocator base_alloc;
-        base_alloc.prepare(config, p);
-        base_options.mapper = base_alloc.makeMapper();
-        const SimStats base = simulate(config, p, base_alloc,
-                                       std::move(base_options), false);
-
-        const CompileResult compiled = compileRegMutex(p, config);
-        RegMutexAllocator rmx_alloc;
-        rmx_alloc.prepare(config, compiled.program);
-        SimOptions rmx_options;
-        rmx_options.memSeed = seed;
-        rmx_options.mapper = rmx_alloc.makeMapper();
-        const SimStats rmx = simulate(config, compiled.program,
-                                      rmx_alloc,
-                                      std::move(rmx_options), false);
-
+        RunOptions options;
+        options.gpu.memSeed = seed;
+        const SimStats base =
+            runPolicy("baseline", p, config, options).stats();
+        const SimStats rmx =
+            runPolicy("regmutex", p, config, options).stats();
         EXPECT_GT(cycleReduction(base, rmx), 0.05)
             << "memSeed " << seed;
     }
@@ -155,20 +142,24 @@ TEST(Robustness, OwfRejectsCtaSpanningBothHalves)
 {
     // 25-warp CTAs would pair a CTA with itself under cross-half
     // pairing; OWF must refuse rather than risk a barrier deadlock.
-    GpuConfig config = gtx480Config();
-    config.maxThreadsPerSm = 4096;
-    config.maxWarpsPerSm = 128;
-    config.registersPerSm = 1 << 17;
+    // The half-RF GTX480 (48 slots) keeps BFS register-limited, so the
+    // compile really splits the register set.
+    const GpuConfig config = halfRegisterFile(gtx480Config());
     KernelSpec spec = workload("BFS").spec;
     spec.ctaThreads = 25 * 32;
     const Program p = buildKernel(spec);
     const CompileResult compiled = compileRegMutex(p, config);
-    if (!compiled.enabled())
-        GTEST_SKIP() << "not register-limited in this configuration";
+    ASSERT_TRUE(compiled.enabled());
     OwfAllocator allocator;
-    EXPECT_THROW(allocator.prepare(config,
-                                   stripDirectives(compiled.program)),
-                 FatalError);
+    try {
+        allocator.prepare(config, stripDirectives(compiled.program));
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("CTAs of more than 24 warps"),
+                  std::string::npos)
+            << msg;
+    }
 }
 
 TEST(Robustness, WatchdogReportsDeadlockedHardware)

@@ -7,10 +7,9 @@
 
 #include <gtest/gtest.h>
 
-#include "baselines/baseline.hh"
 #include "common/errors.hh"
+#include "core/experiment.hh"
 #include "isa/builder.hh"
-#include "sim/gpu.hh"
 
 namespace rm {
 namespace {
@@ -28,8 +27,7 @@ info(int regs, int cta_threads, int grid_ctas)
 SimStats
 runProgram(const Program &program, GpuConfig config = gtx480Config())
 {
-    BaselineAllocator allocator;
-    return simulate(config, program, allocator);
+    return runPolicy("baseline", program, config).stats();
 }
 
 /** A dependent ALU chain exposes the ALU latency via the scoreboard. */
@@ -213,8 +211,71 @@ TEST(Sm, KernelTooLargeForRegisterFileFatals)
     b.exitKernel();
     Program p = b.finalize();
     p.info.numRegs = 64;
-    BaselineAllocator allocator;
-    EXPECT_THROW(simulate(gtx480Config(), p, allocator), FatalError);
+    EXPECT_THROW(runProgram(p), FatalError);
+}
+
+TEST(Sm, EngineRunsItsWholeOneWordEnvelope)
+{
+    // Maxwell has kEngineWordBits warp slots and 32 CTA slots, so
+    // two-warp CTAs occupy every slot.
+    const GpuConfig maxwell = maxwellConfig();
+    ProgramBuilder slots(info(8, 64, 32 * maxwell.numSms));
+    slots.movImm(0, 1);
+    slots.iadd(0, 0, 0);
+    slots.stGlobal(0, 0);
+    slots.exitKernel();
+    const SimStats full = runProgram(slots.finalize(), maxwell);
+    EXPECT_EQ(full.theoreticalWarps, kEngineWordBits);
+    EXPECT_EQ(full.ctasCompleted, 32u);
+
+    // kEngineWordBits registers per thread: every scoreboard bit.
+    ProgramBuilder regs(info(kEngineWordBits, 32, 15));
+    for (int r = 0; r < kEngineWordBits; ++r)
+        regs.movImm(static_cast<RegId>(r), r);
+    for (int r = 1; r < kEngineWordBits; ++r)
+        regs.iadd(0, 0, static_cast<RegId>(r));
+    regs.stGlobal(0, 0);
+    regs.exitKernel();
+    const SimStats wide = runProgram(regs.finalize());
+    EXPECT_FALSE(wide.deadlocked);
+    EXPECT_EQ(wide.ctasCompleted, 1u);
+}
+
+TEST(Sm, WiderThanOneWordIsRejectedBeforeAnyAllocatorIsPrepared)
+{
+    int prepared = 0;
+    const AllocatorFactory counting = [&prepared](const GpuConfig &config,
+                                                  const Program &program) {
+        ++prepared;
+        return PolicyRegistry::instance().at("baseline").allocator(
+            config, program);
+    };
+    const auto expect_rejected = [&](const GpuConfig &config,
+                                     const Program &program,
+                                     const std::string &what) {
+        try {
+            simulateGpu(config, program, counting);
+            ADD_FAILURE() << "expected FatalError naming " << what;
+        } catch (const FatalError &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find(what), std::string::npos) << msg;
+            EXPECT_NE(msg.find("at most 64"), std::string::npos) << msg;
+        }
+    };
+
+    ProgramBuilder small(info(8, 32, 15));
+    small.movImm(0, 1);
+    small.exitKernel();
+    GpuConfig slots = keplerConfig();
+    slots.maxWarpsPerSm = kEngineWordBits + 1;
+    expect_rejected(slots, small.finalize(), "65 warp slots");
+
+    ProgramBuilder fat(info(kEngineWordBits + 1, 32, 15));
+    fat.movImm(kEngineWordBits, 1);
+    fat.exitKernel();
+    expect_rejected(keplerConfig(), fat.finalize(), "65 registers");
+
+    EXPECT_EQ(prepared, 0);
 }
 
 } // namespace

@@ -9,9 +9,7 @@
 #include <sstream>
 
 #include "common/errors.hh"
-#include "compiler/pipeline.hh"
-#include "regmutex/allocator.hh"
-#include "sim/gpu.hh"
+#include "core/experiment.hh"
 #include "sim/trace.hh"
 #include "workloads/suite.hh"
 
@@ -63,13 +61,11 @@ class TracedRun : public ::testing::Test
     SetUp() override
     {
         config = gtx480Config();
-        program = compileRegMutex(buildWorkload("BFS"), config).program;
-        RegMutexAllocator allocator;
-        allocator.prepare(config, program);
-        SimOptions options;
-        options.mapper = allocator.makeMapper();
-        options.trace = &trace;
-        simulate(config, program, allocator, std::move(options), false);
+        RunOptions options;
+        options.gpu.obs.trace = &trace;
+        program = runPolicy("regmutex", buildWorkload("BFS"), config,
+                            options)
+                      .compile.program;
     }
 
     GpuConfig config;
