@@ -179,10 +179,14 @@ OwfAllocator::saveState(SnapshotWriter &w) const
 void
 OwfAllocator::restoreState(SnapshotReader &r)
 {
-    const std::uint32_t n = r.u32();
-    holder.assign(n, -1);
-    for (std::uint32_t i = 0; i < n; ++i)
-        holder[i] = r.i32();
+    // prepare() sized the holder table; every entry is a warp slot.
+    if (r.u32() != holder.size())
+        throw SnapshotError("snapshot: owf holder table size mismatch");
+    for (int &slot : holder) {
+        slot = r.i32();
+        if (slot < -1 || slot >= 2 * halfWarps)
+            throw SnapshotError("snapshot: owf holder slot out of range");
+    }
     freed = r.boolean();
     locksTaken = r.u64();
     emergencies = r.u64();

@@ -4,12 +4,12 @@
 /**
  * @file
  * Metrics registry for the observability layer: named counters, gauges,
- * and histograms the timing model updates from its issue/stall paths.
- * Everything here is header-only and allocation-free after the first
- * lookup so the SM can cache instrument pointers at construction and
- * pay only a null-check plus an add on the hot path; with no registry
- * attached the simulated cycle counts are bit-identical (metrics never
- * feed back into timing).
+ * and histograms. The timing model keeps its counts in SimStats and
+ * publishes them here at every sample and leg end (Sm::publishMetrics);
+ * only events with no SimStats field (acquire waits, snapshots,
+ * restores) update an instrument as they happen. Metrics never feed
+ * back into timing, so attaching a registry changes no simulated cycle
+ * and no snapshot byte.
  *
  * Naming convention: dot-separated lowercase paths grouped by
  * subsystem, e.g. "stall.scoreboard", "srp.holders",
@@ -29,6 +29,8 @@ class Counter
 {
   public:
     void add(std::uint64_t n = 1) { total += n; }
+    /** Publish a count kept elsewhere (e.g. a SimStats field). */
+    void set(std::uint64_t v) { total = v; }
     std::uint64_t value() const { return total; }
 
   private:
@@ -40,8 +42,6 @@ class Gauge
 {
   public:
     void set(std::int64_t v) { level = v; }
-    void add(std::int64_t n = 1) { level += n; }
-    void sub(std::int64_t n = 1) { level -= n; }
     std::int64_t value() const { return level; }
 
   private:

@@ -3,12 +3,14 @@
 
 /**
  * @file
- * Interval sampler: snapshots a MetricsRegistry every N simulated
- * cycles into an in-memory time-series (one column per flattened
- * metric, one row per sample). Counters and gauges sample as their
- * current value; histograms flatten to <name>.count / <name>.sum /
- * <name>.max. The hot-path cost is one modulo per cycle; a sample
- * itself walks the registry, which is fine at any realistic interval.
+ * Interval sampler: an in-memory time-series of a MetricsRegistry (one
+ * column per flattened metric, one row per sample). The SM it is
+ * attached to publishes its metrics and calls snapshot() at every
+ * multiple of interval() (interval 0: never), including cycles the
+ * skip-ahead engine would otherwise jump over. Counters and gauges
+ * sample as their current value; histograms flatten to <name>.count /
+ * <name>.sum / <name>.max. A sample walks the registry, which is fine
+ * at any realistic interval.
  */
 
 #include <cstdint>
@@ -35,16 +37,8 @@ class Sampler
         : registry(reg), sampleInterval(interval_cycles)
     {}
 
-    /** Call once per simulated cycle. */
-    void
-    tick(std::uint64_t cycle)
-    {
-        if (sampleInterval == 0 || cycle % sampleInterval != 0)
-            return;
-        snapshot(cycle);
-    }
-
-    /** Take a sample right now (e.g. a final end-of-run row). */
+    /** Take a sample right now (the SM's interval samples, or a final
+     *  end-of-run row). */
     void
     snapshot(std::uint64_t cycle)
     {

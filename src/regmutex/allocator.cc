@@ -204,15 +204,32 @@ RegMutexAllocator::saveState(SnapshotWriter &w) const
 void
 RegMutexAllocator::restoreState(SnapshotReader &r)
 {
+    // prepare() fixed the structure sizes and the section count; saved
+    // state that disagrees is damage. Sections index the operand
+    // mapping, so every saved one is range-checked before use.
+    const auto require = [](bool ok, const char *what) {
+        if (!ok)
+            throw SnapshotError(std::string("snapshot: regmutex ") + what);
+    };
+    const std::size_t slots = lut.size();
     srp = r.bitmask();
     warpStatus = r.bitmask();
-    const std::uint32_t n = r.u32();
-    lut.assign(n, -1);
-    for (std::uint32_t i = 0; i < n; ++i)
-        lut[i] = r.i32();
+    require(srp.size() == slots && warpStatus.size() == slots,
+            "bitmask size mismatch");
+    for (std::size_t s = static_cast<std::size_t>(sections); s < slots; ++s)
+        require(srp.test(s), "beyond-capacity SRP bit is clear");
+    require(r.u32() == slots, "LUT size mismatch");
+    for (int &section : lut) {
+        section = r.i32();
+        require(section >= -1 && section < sections,
+                "LUT section out of range");
+    }
     freed = r.boolean();
     shrunk = r.i32();
     pendingShrink = r.i32();
+    require(shrunk >= 0 && pendingShrink >= 0 &&
+                shrunk + pendingShrink <= sections,
+            "revoked-section counts out of range");
 }
 
 void
@@ -446,7 +463,10 @@ PairedRegMutexAllocator::saveState(SnapshotWriter &w) const
 void
 PairedRegMutexAllocator::restoreState(SnapshotReader &r)
 {
+    const std::size_t pairs_mask = pairHeld.size();
     pairHeld = r.bitmask();
+    if (pairHeld.size() != pairs_mask)
+        throw SnapshotError("snapshot: regmutex-paired mask size mismatch");
     freed = r.boolean();
 }
 

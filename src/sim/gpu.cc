@@ -44,24 +44,9 @@ mergeSmStats(const std::vector<SimStats> &per_sm)
     agg.cycles = 0;
     agg.instructions = 0;
     agg.ctasCompleted = 0;
-    agg.acquireAttempts = 0;
-    agg.acquireSuccesses = 0;
-    agg.acquireAlreadyHeld = 0;
-    agg.releases = 0;
-    agg.issuedSlots = 0;
-    agg.idleSchedulerSlots = 0;
-    agg.scoreboardStalls = 0;
-    agg.memStructuralStalls = 0;
-    agg.barrierStalls = 0;
-    agg.acquireStalls = 0;
-    agg.resourceStalls = 0;
-    agg.noWarpStalls = 0;
-    agg.emergencySpills = 0;
-    agg.lockAcquisitions = 0;
-    agg.extRegAccesses = 0;
-    agg.bankConflicts = 0;
+    for (const auto counter : kSummedCounters)
+        agg.*counter = 0;
     agg.deadlocked = false;
-    agg.faultEvents = 0;
     agg.deadlockCause = DeadlockCause::None;
     agg.hang = nullptr;
 
@@ -71,24 +56,9 @@ mergeSmStats(const std::vector<SimStats> &per_sm)
         agg.cycles = std::max(agg.cycles, sm.cycles);
         agg.instructions += sm.instructions;
         agg.ctasCompleted += sm.ctasCompleted;
-        agg.acquireAttempts += sm.acquireAttempts;
-        agg.acquireSuccesses += sm.acquireSuccesses;
-        agg.acquireAlreadyHeld += sm.acquireAlreadyHeld;
-        agg.releases += sm.releases;
-        agg.issuedSlots += sm.issuedSlots;
-        agg.idleSchedulerSlots += sm.idleSchedulerSlots;
-        agg.scoreboardStalls += sm.scoreboardStalls;
-        agg.memStructuralStalls += sm.memStructuralStalls;
-        agg.barrierStalls += sm.barrierStalls;
-        agg.acquireStalls += sm.acquireStalls;
-        agg.resourceStalls += sm.resourceStalls;
-        agg.noWarpStalls += sm.noWarpStalls;
-        agg.emergencySpills += sm.emergencySpills;
-        agg.lockAcquisitions += sm.lockAcquisitions;
-        agg.extRegAccesses += sm.extRegAccesses;
-        agg.bankConflicts += sm.bankConflicts;
+        for (const auto counter : kSummedCounters)
+            agg.*counter += sm.*counter;
         agg.deadlocked = agg.deadlocked || sm.deadlocked;
-        agg.faultEvents += sm.faultEvents;
         // First deadlocked SM (in id order) provides the machine-level
         // cause and forensics snapshot.
         if (agg.deadlockCause == DeadlockCause::None)

@@ -42,12 +42,12 @@ class Sampler;
 
 /**
  * Bundled observability sinks, owned by the caller: an issue-stage
- * trace, a metrics registry the SM populates with named
- * counters/gauges/histograms, and an interval sampler ticked once per
- * simulated cycle (attaching one disables skip-ahead). Leaving them
- * null disables the hooks; metrics never feed back into timing. None
- * of the sink types are thread-safe, so in FullMachine mode each SM
- * needs its own set (see GpuOptions::sinksForSm).
+ * trace, a metrics registry the SM publishes its SimStats counts and
+ * live gauges into, and an interval sampler the SM feeds at every
+ * multiple of its interval. Leaving them null disables the hooks;
+ * metrics never feed back into timing, snapshot bytes or skip-ahead.
+ * None of the sink types are thread-safe, so in FullMachine mode each
+ * SM needs its own set (see GpuOptions::sinksForSm).
  */
 struct ObsSinks
 {

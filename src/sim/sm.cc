@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 
 #include "common/errors.hh"
 #include "isa/disasm.hh"
@@ -15,6 +16,9 @@ namespace {
 
 /** Process-wide skip-ahead switch (see Sm::setSkipAhead). */
 std::atomic<bool> s_skip_ahead{true};
+
+/** Sample cycle of an SM with no sampler (or a zero interval). */
+constexpr std::uint64_t kNoSample = std::numeric_limits<std::uint64_t>::max();
 
 } // namespace
 
@@ -33,7 +37,7 @@ Sm::skipAheadEnabled()
 Sm::Sm(const GpuConfig &gpu_config, const Program &kernel,
        RegisterAllocator &alloc, int ctas_to_run, GlobalMemory &global_mem,
        std::optional<RegisterMapper> reg_mapper, IssueTrace *issue_trace,
-       MetricsRegistry *metrics, Sampler *interval_sampler, int sm_id,
+       MetricsRegistry *registry, Sampler *interval_sampler, int sm_id,
        FaultPlan fault_plan)
     : config(gpu_config),
       program(kernel),
@@ -41,6 +45,7 @@ Sm::Sm(const GpuConfig &gpu_config, const Program &kernel,
       gmem(global_mem),
       mapper(std::move(reg_mapper)),
       trace(issue_trace),
+      metrics(registry),
       sampler(interval_sampler),
       ctasToRun(ctas_to_run),
       warpsPerCta(kernel.info.ctaThreads / gpu_config.warpSize),
@@ -49,27 +54,11 @@ Sm::Sm(const GpuConfig &gpu_config, const Program &kernel,
       events(static_cast<std::uint64_t>(gpu_config.globalLatency) * 4 + 64)
 {
     if (metrics) {
-        met.issued = &metrics->counter("issue.slots_issued");
-        met.idleSlots = &metrics->counter("issue.idle_slots");
-        met.instructions = &metrics->counter("issue.instructions");
-        met.stallScoreboard = &metrics->counter("stall.scoreboard");
-        met.stallMem = &metrics->counter("stall.mem_structural");
-        met.stallBarrier = &metrics->counter("stall.barrier");
-        met.stallAcquire = &metrics->counter("stall.acquire");
-        met.stallResource = &metrics->counter("stall.resource");
-        met.stallNoWarp = &metrics->counter("stall.no_warp");
-        met.acquireAttempts = &metrics->counter("srp.acquire_attempts");
-        met.acquireSuccesses = &metrics->counter("srp.acquire_successes");
-        met.acquireBlocked = &metrics->counter("srp.acquire_blocked");
-        met.releases = &metrics->counter("srp.releases");
-        met.emergencySpills = &metrics->counter("sim.emergency_spills");
-        met.srpHolders = &metrics->gauge("srp.holders");
-        met.residentWarps = &metrics->gauge("warps.resident");
-        met.residentCtas = &metrics->gauge("ctas.resident");
-        met.acquireWait = &metrics->histogram("srp.acquire_wait_cycles");
-        met.snapshots = &metrics->counter("sim.snapshots");
-        met.restores = &metrics->counter("sim.restores");
+        acquireWait = &metrics->histogram("srp.acquire_wait_cycles");
+        snapshots = &metrics->counter("sim.snapshots");
+        restores = &metrics->counter("sim.restores");
     }
+    nextSampleCycle = sampleCycleAfterNow();
     fatalIf(warpsPerCta <= 0 || warpsPerCta > config.maxWarpsPerSm,
             "Sm: CTA of ", warpsPerCta, " warps cannot fit the SM");
     ctas.resize(config.maxCtasPerSm);
@@ -158,17 +147,15 @@ Sm::launchCtas()
         }
         panicIf(cta_slot < 0, "Sm: residentCap exceeds CTA slots");
 
-        // Find warpsPerCta free warp slots (lowest first).
+        // Find warpsPerCta free warp slots (lowest first). Finished
+        // warps stay bound to their CTA until it retires.
         std::vector<int> slots;
         for (int slot = 0;
              slot < config.maxWarpsPerSm &&
              static_cast<int>(slots.size()) < warpsPerCta;
              ++slot) {
-            if (warps.state(slot) == WarpState::Unused ||
-                warps.state(slot) == WarpState::Finished) {
-                if (warps.warp(slot).ctaSlot == -1)
-                    slots.push_back(slot);
-            }
+            if (warps.state(slot) == WarpState::Unused)
+                slots.push_back(slot);
         }
         panicIf(static_cast<int>(slots.size()) < warpsPerCta,
                 "Sm: no free warp slots despite free CTA slot");
@@ -209,8 +196,6 @@ Sm::launchCtas()
         }
         ++residentCtas;
         ++nextCtaId;
-        if (met.residentCtas)
-            met.residentCtas->set(residentCtas);
     }
 }
 
@@ -230,8 +215,6 @@ Sm::retireCta(int cta_slot)
     cta.ctaId = -1;
     --residentCtas;
     ++stats.ctasCompleted;
-    if (met.residentCtas)
-        met.residentCtas->set(residentCtas);
     launchCtas();
 }
 
@@ -387,11 +370,8 @@ Sm::issue(int slot)
                 RM_PROF_SCOPE(ProfPhase::SmAcqRel);
                 outcome = allocator.acquire(warp);
             }
-            if (outcome != AcquireOutcome::AlreadyHeld) {
+            if (outcome != AcquireOutcome::AlreadyHeld)
                 ++stats.acquireAttempts;
-                if (met.acquireAttempts)
-                    met.acquireAttempts->add();
-            }
             if (trace) {
                 trace->record(TraceEvent{
                     cycle, slot, warp.ctaId, pc,
@@ -401,11 +381,8 @@ Sm::issue(int slot)
             }
             switch (outcome) {
               case AcquireOutcome::Blocked:
-                if (met.acquireBlocked) {
-                    met.acquireBlocked->add();
-                    if (warp.acquireWaitSince == 0)
-                        warp.acquireWaitSince = cycle;
-                }
+                if (warp.acquireWaitSince == 0)
+                    warp.acquireWaitSince = cycle;
                 if (config.wakeOnRelease) {
                     park(slot, WarpState::WaitAcquire);
                 } else {
@@ -420,23 +397,18 @@ Sm::issue(int slot)
                 return;
               case AcquireOutcome::Acquired:
                 ++stats.acquireSuccesses;
-                if (met.acquireSuccesses) {
-                    met.acquireSuccesses->add();
-                    met.srpHolders->add();
-                    met.acquireWait->observe(
-                        warp.acquireWaitSince == 0
-                            ? 0
-                            : cycle - warp.acquireWaitSince);
-                    warp.acquireWaitSince = 0;
+                if (acquireWait) {
+                    acquireWait->observe(warp.acquireWaitSince == 0
+                                             ? 0
+                                             : cycle - warp.acquireWaitSince);
                 }
+                warp.acquireWaitSince = 0;
                 break;
               case AcquireOutcome::AlreadyHeld:
                 ++stats.acquireAlreadyHeld;
                 break;
               case AcquireOutcome::NotNeeded:
                 ++stats.acquireSuccesses;
-                if (met.acquireSuccesses)
-                    met.acquireSuccesses->add();
                 break;
             }
         } else {
@@ -453,17 +425,11 @@ Sm::issue(int slot)
                                      warp.launchOrder});
                 return;
             }
-            const bool held = warp.holdsExt;
             {
                 RM_PROF_SCOPE(ProfPhase::SmAcqRel);
                 allocator.release(warp);
             }
             ++stats.releases;
-            if (met.releases) {
-                met.releases->add();
-                if (held && !warp.holdsExt)
-                    met.srpHolders->sub();
-            }
             if (trace) {
                 trace->record(TraceEvent{cycle, slot, warp.ctaId,
                                          pc, TraceKind::Release});
@@ -473,10 +439,6 @@ Sm::issue(int slot)
         ++warp.instructions;
         ++stats.instructions;
         ++stats.issuedSlots;
-        if (met.issued) {
-            met.issued->add();
-            met.instructions->add();
-        }
         lastProgressCycle = cycle;
         return;
     }
@@ -494,10 +456,6 @@ Sm::issue(int slot)
         ++warp.instructions;
         ++stats.instructions;
         ++stats.issuedSlots;
-        if (met.issued) {
-            met.issued->add();
-            met.instructions->add();
-        }
         lastProgressCycle = cycle;
         if (cta.barrierArrived >= cta.warpsAlive)
             releaseBarrier(cta);
@@ -515,10 +473,6 @@ Sm::issue(int slot)
     ++warp.instructions;
     ++stats.instructions;
     ++stats.issuedSlots;
-    if (met.issued) {
-        met.issued->add();
-        met.instructions->add();
-    }
     lastProgressCycle = cycle;
     warps.setPc(slot, step.nextPc);
 
@@ -528,10 +482,7 @@ Sm::issue(int slot)
                                      TraceKind::WarpExit});
         }
         warps.setState(slot, WarpState::Finished);
-        const bool held = warp.holdsExt;
         allocator.onWarpExit(warp);
-        if (met.srpHolders && held && !warp.holdsExt)
-            met.srpHolders->sub();
         --aliveWarps;
         --cta.warpsAlive;
         // A barrier can complete once an exited warp stops counting.
@@ -627,7 +578,6 @@ Sm::schedule(int scheduler)
     int best_priority = 0;
     std::uint64_t best_key = 0;
     BlockReason sample_reason = BlockReason::None;
-    bool saw_ready = false;
     const bool gto = config.schedPolicy == SchedPolicy::Gto;
     const int num_slots = config.maxWarpsPerSm;
     // GTO breaks ties by age; LRR rotates from the last issued slot.
@@ -649,7 +599,6 @@ Sm::schedule(int scheduler)
         if (allocGatesIssue &&
             !allocator.canIssue(warps.warp(slot),
                                 program.code[warps.pc(slot)])) {
-            saw_ready = true;
             if (first_resource == num_slots)
                 first_resource = slot;
             // Park policy-blocked warps until resources free up.
@@ -670,7 +619,6 @@ Sm::schedule(int scheduler)
     }
     // The stall sample is the verdict of the lowest blocked slot.
     if (hard_blocked != 0) {
-        saw_ready = true;
         const int slot = __builtin_ctzll(hard_blocked);
         if (slot < first_resource) {
             const IssueCheckMeta &meta = issueMeta[warps.pc(slot)];
@@ -692,65 +640,52 @@ Sm::schedule(int scheduler)
     }
 
     // Nothing issued: account the stall.
-    ++stats.idleSchedulerSlots;
-    if (met.idleSlots)
-        met.idleSlots->add();
     schedLastIssued[scheduler] = -1;
-    if (saw_ready) {
-        switch (sample_reason) {
-          case BlockReason::Scoreboard:
-            ++stats.scoreboardStalls;
-            if (met.stallScoreboard)
-                met.stallScoreboard->add();
-            break;
-          case BlockReason::MemStructural:
-            ++stats.memStructuralStalls;
-            if (met.stallMem)
-                met.stallMem->add();
-            break;
-          case BlockReason::Resource:
-            ++stats.resourceStalls;
-            if (met.stallResource)
-                met.stallResource->add();
-            break;
+    chargeIdle(scheduler, sample_reason, 1);
+}
+
+void
+Sm::chargeIdle(int scheduler, BlockReason sample, std::uint64_t n)
+{
+    stats.idleSchedulerSlots += n;
+    switch (sample) {
+      case BlockReason::Scoreboard:
+        stats.scoreboardStalls += n;
+        return;
+      case BlockReason::MemStructural:
+        stats.memStructuralStalls += n;
+        return;
+      case BlockReason::Resource:
+        stats.resourceStalls += n;
+        return;
+      case BlockReason::None:
+        break;
+    }
+    // No blocked Ready warp: classify by what the scheduler's first
+    // waiting warp waits on (finished warps match no wait class).
+    bool any = false;
+    for (int slot = scheduler; slot < config.maxWarpsPerSm;
+         slot += config.numSchedulers) {
+        if (warps.warp(slot).ctaSlot < 0)
+            continue;
+        any = true;
+        switch (warps.state(slot)) {
+          case WarpState::WaitBarrier:
+            stats.barrierStalls += n;
+            return;
+          case WarpState::WaitAcquire:
+            stats.acquireStalls += n;
+            return;
+          case WarpState::WaitResource:
+          case WarpState::WaitSpill:
+            stats.resourceStalls += n;
+            return;
           default:
             break;
         }
-    } else {
-        // Classify by what the candidate warps are waiting on.
-        bool any = false;
-        for (int slot = scheduler; slot < config.maxWarpsPerSm;
-             slot += config.numSchedulers) {
-            if (warps.warp(slot).ctaSlot < 0)
-                continue;
-            any = true;
-            const WarpState state = warps.state(slot);
-            if (state == WarpState::WaitBarrier) {
-                ++stats.barrierStalls;
-                if (met.stallBarrier)
-                    met.stallBarrier->add();
-                return;
-            }
-            if (state == WarpState::WaitAcquire) {
-                ++stats.acquireStalls;
-                if (met.stallAcquire)
-                    met.stallAcquire->add();
-                return;
-            }
-            if (state == WarpState::WaitResource ||
-                state == WarpState::WaitSpill) {
-                ++stats.resourceStalls;
-                if (met.stallResource)
-                    met.stallResource->add();
-                return;
-            }
-        }
-        if (!any) {
-            ++stats.noWarpStalls;
-            if (met.stallNoWarp)
-                met.stallNoWarp->add();
-        }
     }
+    if (!any)
+        stats.noWarpStalls += n;
 }
 
 Sm::Starvation
@@ -765,20 +700,13 @@ Sm::handleStarvation()
     if (!events.empty() || !memQueue.empty())
         return Starvation::Waiting;
 
-    int blocked_resource = 0;
-    int blocked_acquire = 0;
-    int blocked_barrier = 0;
     int others = 0;
     int oldest_resource = -1;
     for (int slot = 0; slot < config.maxWarpsPerSm; ++slot) {
-        const WarpState state = warps.state(slot);
-        if (warps.warp(slot).ctaSlot < 0 ||
-            state == WarpState::Finished || state == WarpState::Unused) {
+        if (warps.warp(slot).ctaSlot < 0 || !warps.resident(slot))
             continue;
-        }
-        switch (state) {
+        switch (warps.state(slot)) {
           case WarpState::WaitResource:
-            ++blocked_resource;
             if (oldest_resource < 0 ||
                 warps.warp(slot).launchOrder <
                     warps.warp(oldest_resource).launchOrder) {
@@ -786,12 +714,9 @@ Sm::handleStarvation()
             }
             break;
           case WarpState::WaitAcquire:
-            ++blocked_acquire;
-            break;
           case WarpState::WaitBarrier:
-            // Barrier waiters cannot make progress on their own; with
-            // no events pending they are part of the wedge.
-            ++blocked_barrier;
+            // Acquire and barrier waiters cannot make progress on
+            // their own; with no events pending they are the wedge.
             break;
           default:
             ++others;  // Ready / WaitSpill: progress is still possible
@@ -802,7 +727,7 @@ Sm::handleStarvation()
     if (others > 0)
         return Starvation::Runnable;
 
-    if (blocked_resource > 0 && oldest_resource >= 0) {
+    if (oldest_resource >= 0) {
         SimWarp &oldest = warps.warp(oldest_resource);
         const int penalty =
             allocator.forceProgress(oldest, warps.pc(oldest_resource));
@@ -812,8 +737,6 @@ Sm::handleStarvation()
                                  kNoReg, false, true,
                                  oldest.launchOrder});
             ++stats.emergencySpills;
-            if (met.emergencySpills)
-                met.emergencySpills->add();
             return Starvation::BreakerFired;
         }
     }
@@ -822,30 +745,13 @@ Sm::handleStarvation()
     // help (or nothing was resource-blocked): the SM is deadlocked.
     // Record the forensics snapshot with the root-cause classification.
     stats.deadlocked = true;
-    stats.deadlockCause =
-        classifyWedge(blocked_acquire, blocked_resource, blocked_barrier);
+    stats.deadlockCause = classifyWedge();
     stats.hang = captureDiagnosis(stats.deadlockCause, false);
     return Starvation::Deadlocked;
 }
 
 DeadlockCause
-Sm::classifyWedge(int blocked_acquire, int blocked_resource,
-                  int blocked_barrier) const
-{
-    // Precedence, not majority: one warp parked on an acquire that
-    // will never be granted is the root cause even when every other
-    // warp piles up behind a barrier waiting for it.
-    if (blocked_acquire > 0)
-        return DeadlockCause::Acquire;
-    if (blocked_resource > 0)
-        return DeadlockCause::Resource;
-    if (blocked_barrier > 0)
-        return DeadlockCause::Barrier;
-    return DeadlockCause::None;
-}
-
-DeadlockCause
-Sm::classifyWedgeNow() const
+Sm::classifyWedge() const
 {
     int acquire = 0;
     int resource = 0;
@@ -861,7 +767,16 @@ Sm::classifyWedgeNow() const
         else if (state == WarpState::WaitBarrier)
             ++barrier;
     }
-    return classifyWedge(acquire, resource, barrier);
+    // Precedence, not majority: one warp parked on an acquire that
+    // will never be granted is the root cause even when every other
+    // warp piles up behind a barrier waiting for it.
+    if (acquire > 0)
+        return DeadlockCause::Acquire;
+    if (resource > 0)
+        return DeadlockCause::Resource;
+    if (barrier > 0)
+        return DeadlockCause::Barrier;
+    return DeadlockCause::None;
 }
 
 std::shared_ptr<const HangDiagnosis>
@@ -900,16 +815,8 @@ Sm::captureDiagnosis(DeadlockCause cause, bool watchdog_expired) const
         snap.pendingMem = warps.pendingMem(slot);
         snap.pendingWrites = warps.sbCount(slot);
         snap.instructionsExecuted = warp.instructions;
-        switch (state) {
-          case WarpState::WaitAcquire:
-          case WarpState::WaitResource:
-          case WarpState::WaitBarrier:
-          case WarpState::WaitSpill:
-            snap.waitAge = cycle - warp.waitSince;
-            break;
-          default:
-            break;
-        }
+        if (state != WarpState::Ready && state != WarpState::Finished)
+            snap.waitAge = cycle - warp.waitSince;  // a Wait* state
         switch (state) {
           case WarpState::WaitAcquire:
             ++diag->blockedAcquire;
@@ -940,7 +847,7 @@ Sm::runControlled(const RunControl &control)
         launchCtas();
     }
     const bool epoch_work = control.epochWork();
-    const bool skip_ok = skipAheadEnabled() && sampler == nullptr;
+    const bool skip_ok = skipAheadEnabled();
 
     while (stats.ctasCompleted < static_cast<std::uint64_t>(ctasToRun)) {
         // The cycle budget is checked every cycle so a snapshot can be
@@ -1006,10 +913,8 @@ Sm::runControlled(const RunControl &control)
             wakeParked();
         }
         residentIntegral += aliveWarps;
-        if (met.residentWarps)
-            met.residentWarps->set(aliveWarps);
-        if (sampler)
-            sampler->tick(cycle);
+        if (cycle == nextSampleCycle)
+            takeSample();
 
         if (stats.issuedSlots == issued_before) {
             // No instruction issued: check for a wedged SM.
@@ -1039,7 +944,7 @@ Sm::runControlled(const RunControl &control)
             if (cycle - lastProgressCycle >
                 static_cast<std::uint64_t>(config.watchdogCycles)) {
                 const auto diag = captureDiagnosis(
-                    classifyWedgeNow(), true);
+                    classifyWedge(), true);
                 throw SimulationError(diag->summary(), diag);
             }
             // Idle cycle with nothing in flight but wheel events: jump
@@ -1090,6 +995,8 @@ Sm::skipAhead(const RunControl &control, bool epoch_work)
     }
     if (!corruptApplied && fault.corruptStateAtCycle > 0)
         stop = std::min(stop, fault.corruptStateAtCycle - 1);
+    // A sample is taken at the end of its own cycle, so run that cycle.
+    stop = std::min(stop, nextSampleCycle - 1);
     stop = std::min(stop, lastProgressCycle +
                               static_cast<std::uint64_t>(
                                   config.watchdogCycles));
@@ -1107,86 +1014,20 @@ Sm::accountIdleCycles(std::uint64_t n)
 {
     // Closed-form replay of schedule()'s nothing-issued path for n
     // cycles of frozen machine state (schedLastIssued is already -1
-    // for every scheduler after an executed idle cycle).
+    // for every scheduler after an executed idle cycle): the first
+    // Ready warp in slot order decides the sample.
     for (int scheduler = 0; scheduler < config.numSchedulers;
          ++scheduler) {
-        stats.idleSchedulerSlots += n;
-        if (met.idleSlots)
-            met.idleSlots->add(n);
-
-        // First blocked Ready warp in slot order decides the sample.
-        BlockReason sample_reason = BlockReason::None;
+        BlockReason sample = BlockReason::None;
         for (int slot = scheduler; slot < config.maxWarpsPerSm;
              slot += config.numSchedulers) {
-            if (warps.state(slot) != WarpState::Ready ||
-                warps.warp(slot).ctaSlot < 0) {
-                continue;
-            }
-            sample_reason = issueBlocked(slot);
-            break;
-        }
-        if (sample_reason != BlockReason::None) {
-            switch (sample_reason) {
-              case BlockReason::Scoreboard:
-                stats.scoreboardStalls += n;
-                if (met.stallScoreboard)
-                    met.stallScoreboard->add(n);
-                break;
-              case BlockReason::MemStructural:
-                stats.memStructuralStalls += n;
-                if (met.stallMem)
-                    met.stallMem->add(n);
-                break;
-              case BlockReason::Resource:
-                stats.resourceStalls += n;
-                if (met.stallResource)
-                    met.stallResource->add(n);
-                break;
-              default:
-                break;
-            }
-            continue;
-        }
-
-        // No Ready warp: classify by the first waiting candidate, in
-        // slot order (Finished warps count as candidates but match no
-        // wait class — exactly like schedule()).
-        bool any = false;
-        bool counted = false;
-        for (int slot = scheduler; slot < config.maxWarpsPerSm;
-             slot += config.numSchedulers) {
-            if (warps.warp(slot).ctaSlot < 0)
-                continue;
-            any = true;
-            const WarpState state = warps.state(slot);
-            if (state == WarpState::WaitBarrier) {
-                stats.barrierStalls += n;
-                if (met.stallBarrier)
-                    met.stallBarrier->add(n);
-                counted = true;
-                break;
-            }
-            if (state == WarpState::WaitAcquire) {
-                stats.acquireStalls += n;
-                if (met.stallAcquire)
-                    met.stallAcquire->add(n);
-                counted = true;
-                break;
-            }
-            if (state == WarpState::WaitResource ||
-                state == WarpState::WaitSpill) {
-                stats.resourceStalls += n;
-                if (met.stallResource)
-                    met.stallResource->add(n);
-                counted = true;
+            if (warps.state(slot) == WarpState::Ready &&
+                warps.warp(slot).ctaSlot >= 0) {
+                sample = issueBlocked(slot);
                 break;
             }
         }
-        if (!any && !counted) {
-            stats.noWarpStalls += n;
-            if (met.stallNoWarp)
-                met.stallNoWarp->add(n);
-        }
+        chargeIdle(scheduler, sample, n);
     }
 }
 
@@ -1198,46 +1039,113 @@ Sm::finishStats()
         cycle == 0 ? 0.0
                    : static_cast<double>(residentIntegral) / cycle;
     stats.lockAcquisitions = allocator.lockCount();
+    if (metrics)
+        publishMetrics();
 }
 
 void
-Sm::auditEpoch()
+Sm::publishMetrics() const
 {
-    std::vector<std::string> violations;
+    MetricsRegistry &m = *metrics;
+    m.counter("issue.slots_issued").set(stats.issuedSlots);
+    m.counter("issue.idle_slots").set(stats.idleSchedulerSlots);
+    m.counter("issue.instructions").set(stats.instructions);
+    m.counter("stall.scoreboard").set(stats.scoreboardStalls);
+    m.counter("stall.mem_structural").set(stats.memStructuralStalls);
+    m.counter("stall.barrier").set(stats.barrierStalls);
+    m.counter("stall.acquire").set(stats.acquireStalls);
+    m.counter("stall.resource").set(stats.resourceStalls);
+    m.counter("stall.no_warp").set(stats.noWarpStalls);
+    m.counter("srp.acquire_attempts").set(stats.acquireAttempts);
+    m.counter("srp.acquire_successes").set(stats.acquireSuccesses);
+    // Every attempt that did not succeed was a Blocked outcome.
+    m.counter("srp.acquire_blocked")
+        .set(stats.acquireAttempts - stats.acquireSuccesses);
+    m.counter("srp.releases").set(stats.releases);
+    m.counter("sim.emergency_spills").set(stats.emergencySpills);
+
+    int holders = 0;
+    for (int slot = 0; slot < warps.numSlots(); ++slot) {
+        if (warps.resident(slot) && warps.warp(slot).holdsExt)
+            ++holders;
+    }
+    m.gauge("srp.holders").set(holders);
+    m.gauge("warps.resident").set(aliveWarps);
+    m.gauge("ctas.resident").set(residentCtas);
+}
+
+void
+Sm::takeSample()
+{
+    if (metrics)
+        publishMetrics();
+    sampler->snapshot(cycle);
+    nextSampleCycle = sampleCycleAfterNow();
+}
+
+std::uint64_t
+Sm::sampleCycleAfterNow() const
+{
+    if (sampler == nullptr || sampler->interval() == 0)
+        return kNoSample;
+    return (cycle / sampler->interval() + 1) * sampler->interval();
+}
+
+void
+Sm::auditStructure(std::vector<std::string> &violations) const
+{
     const auto fail = [&](const std::string &line) {
         violations.push_back("sm: " + line);
     };
 
-    // SM-level structural accounting.
+    // Per-warp ownership: an unused slot belongs to no CTA; any other
+    // slot (finished warps stay bound until their CTA retires) belongs
+    // to an active CTA that lists it.
     int resident_warps = 0;
     for (int slot = 0; slot < config.maxWarpsPerSm; ++slot) {
-        if (!warps.resident(slot))
-            continue;
         const SimWarp &warp = warps.warp(slot);
-        ++resident_warps;
+        const WarpState state = warps.state(slot);
+        const std::string who = "warp " + std::to_string(slot);
+        if (state == WarpState::Unused) {
+            if (warp.ctaSlot != -1) {
+                fail(who + " is unused but bound to CTA slot " +
+                     std::to_string(warp.ctaSlot));
+            }
+            continue;
+        }
         if (warp.ctaSlot < 0 ||
             warp.ctaSlot >= static_cast<int>(ctas.size()) ||
             !ctas[warp.ctaSlot].active) {
-            fail("warp " + std::to_string(slot) +
-                 " is resident without an active CTA slot");
-        } else if (ctas[warp.ctaSlot].ctaId != warp.ctaId) {
-            fail("warp " + std::to_string(slot) + " claims CTA " +
-                 std::to_string(warp.ctaId) + " but its slot runs CTA " +
-                 std::to_string(ctas[warp.ctaSlot].ctaId));
+            fail(who + " is bound to no active CTA slot");
+            continue;
+        }
+        const ResidentCta &cta = ctas[warp.ctaSlot];
+        if (cta.ctaId != warp.ctaId) {
+            fail(who + " claims CTA " + std::to_string(warp.ctaId) +
+                 " but its slot runs CTA " + std::to_string(cta.ctaId));
+        }
+        if (std::find(cta.warpSlots.begin(), cta.warpSlots.end(), slot) ==
+            cta.warpSlots.end()) {
+            fail(who + " is missing from CTA " + std::to_string(cta.ctaId) +
+                 "'s warp list");
+        }
+        if (state == WarpState::Finished)
+            continue;
+        ++resident_warps;
+        if (warps.pc(slot) < 0 ||
+            warps.pc(slot) >= static_cast<int>(program.code.size())) {
+            fail(who + " has pc " + std::to_string(warps.pc(slot)) +
+                 " outside the " + std::to_string(program.code.size()) +
+                 "-instruction program");
         }
         // Stale completion events from a slot's previous occupant are
         // dropped by their generation tag (SimEvent::launchOrder), so
         // outstanding-request accounting is a hard invariant now.
-        if (warps.pendingMem(slot) < 0) {
-            fail("warp " + std::to_string(slot) + " has " +
-                 std::to_string(warps.pendingMem(slot)) +
-                 " outstanding memory requests");
-        }
-        if (warps.pendingMem(slot) > config.maxPendingMemPerWarp) {
-            fail("warp " + std::to_string(slot) + " exceeds the " +
-                 std::to_string(config.maxPendingMemPerWarp) +
-                 "-request memory limit with " +
-                 std::to_string(warps.pendingMem(slot)));
+        const int pending = warps.pendingMem(slot);
+        if (pending < 0 || pending > config.maxPendingMemPerWarp) {
+            fail(who + " has " + std::to_string(pending) +
+                 " outstanding memory requests (limit " +
+                 std::to_string(config.maxPendingMemPerWarp) + ")");
         }
     }
     if (resident_warps != aliveWarps) {
@@ -1246,25 +1154,35 @@ Sm::auditEpoch()
     }
 
     int active_ctas = 0;
-    for (const ResidentCta &cta : ctas) {
+    for (std::size_t i = 0; i < ctas.size(); ++i) {
+        const ResidentCta &cta = ctas[i];
         if (!cta.active)
             continue;
         ++active_ctas;
+        const std::string who = "CTA " + std::to_string(cta.ctaId);
+        if (static_cast<int>(cta.warpSlots.size()) != warpsPerCta) {
+            fail(who + " lists " + std::to_string(cta.warpSlots.size()) +
+                 " warps, not " + std::to_string(warpsPerCta));
+        }
         int alive = 0;
         int at_barrier = 0;
         for (const int slot : cta.warpSlots) {
+            if (warps.warp(slot).ctaSlot != static_cast<int>(i)) {
+                fail(who + " lists warp " + std::to_string(slot) +
+                     " bound to another CTA slot");
+                continue;
+            }
             if (warps.resident(slot))
                 ++alive;
             if (warps.state(slot) == WarpState::WaitBarrier)
                 ++at_barrier;
         }
         if (alive != cta.warpsAlive) {
-            fail("CTA " + std::to_string(cta.ctaId) + " warpsAlive " +
-                 std::to_string(cta.warpsAlive) + " != " +
-                 std::to_string(alive) + " live warps");
+            fail(who + " warpsAlive " + std::to_string(cta.warpsAlive) +
+                 " != " + std::to_string(alive) + " live warps");
         }
         if (at_barrier != cta.barrierArrived) {
-            fail("CTA " + std::to_string(cta.ctaId) + " barrierArrived " +
+            fail(who + " barrierArrived " +
                  std::to_string(cta.barrierArrived) + " != " +
                  std::to_string(at_barrier) + " warps at the barrier");
         }
@@ -1273,12 +1191,21 @@ Sm::auditEpoch()
         fail("residentCtas " + std::to_string(residentCtas) + " != " +
              std::to_string(active_ctas) + " active CTA slots");
     }
-    if (static_cast<std::uint64_t>(nextCtaId) !=
-        stats.ctasCompleted + static_cast<std::uint64_t>(residentCtas)) {
+    if (nextCtaId > ctasToRun ||
+        static_cast<std::uint64_t>(nextCtaId) !=
+            stats.ctasCompleted + static_cast<std::uint64_t>(residentCtas)) {
         fail("CTA conservation: launched " + std::to_string(nextCtaId) +
-             " != completed " + std::to_string(stats.ctasCompleted) +
-             " + resident " + std::to_string(residentCtas));
+             " of " + std::to_string(ctasToRun) + " != completed " +
+             std::to_string(stats.ctasCompleted) + " + resident " +
+             std::to_string(residentCtas));
     }
+}
+
+void
+Sm::auditEpoch()
+{
+    std::vector<std::string> violations;
+    auditStructure(violations);
 
     // Policy-level register accounting.
     allocator.auditInvariants(warps, fault.active(), violations);
@@ -1292,13 +1219,52 @@ Sm::auditEpoch()
     report.cycle = cycle;
     report.violations = std::move(violations);
     throw SanitizerError(std::move(report),
-                         captureDiagnosis(classifyWedgeNow(), false));
+                         captureDiagnosis(classifyWedge(), false));
 }
 
 namespace {
 
 /** Identity header so a snapshot cannot restore into the wrong run. */
 constexpr std::uint32_t kSmStateTag = 0x534d5354U;  // "SMST"
+
+constexpr std::uint8_t kFree = 1;  ///< no SRP section held
+constexpr std::uint8_t kHeld = 2;  ///< an SRP section held
+
+/**
+ * The hold states (kFree | kHeld) a warp can be in before each
+ * instruction: forward propagation from the entry, where an executed
+ * acquire holds a section and a release frees it. 0 marks an
+ * unreachable pc. (analysis/acquire_state.hh solves the same lattice
+ * per basic block, but src/analysis links against this library.)
+ */
+std::vector<std::uint8_t>
+holdStatesByPc(const Program &program)
+{
+    const int size = static_cast<int>(program.code.size());
+    std::vector<std::uint8_t> states(program.code.size(), 0);
+    std::vector<int> work{0};
+    states[0] = kFree;
+    while (!work.empty()) {
+        const int pc = work.back();
+        work.pop_back();
+        const Instruction &inst = program.code[static_cast<std::size_t>(pc)];
+        const std::uint8_t out = inst.op == Opcode::RegAcquire   ? kHeld
+                                 : inst.op == Opcode::RegRelease ? kFree
+                                                                 : states[pc];
+        const auto flow = [&](int next) {
+            std::uint8_t &in = states[static_cast<std::size_t>(next)];
+            if ((in | out) != in) {
+                in |= out;
+                work.push_back(next);
+            }
+        };
+        if (inst.isBranch())
+            flow(inst.target);
+        if (!inst.isTerminator() && pc + 1 < size)
+            flow(pc + 1);
+    }
+    return states;
+}
 
 } // namespace
 
@@ -1353,7 +1319,7 @@ Sm::saveState(SnapshotWriter &w) const
             w.i64(warp.sregs.values[i]);
         w.bitmask(warps.sbToBitmask(slot));
         w.i32(warps.pendingMem(slot));
-        w.u64(warps.wakeAt(slot));
+        w.u64(0);  // retired wake-cycle field, kept for the format
         w.u64(warp.waitSince);
         w.boolean(warp.holdsExt);
         w.i32(warp.srpSection);
@@ -1438,8 +1404,8 @@ Sm::saveState(SnapshotWriter &w) const
     if (trace) {
         trace->record(TraceEvent{cycle, -1, -1, -1, TraceKind::Snapshot});
     }
-    if (met.snapshots)
-        met.snapshots->add();
+    if (snapshots)
+        snapshots->add();
 }
 
 void
@@ -1463,10 +1429,26 @@ Sm::restoreState(SnapshotReader &r)
             std::to_string(smId) + ")");
     }
 
+    // Every index below is range-checked before the engine can use it:
+    // a damaged image that still decodes must fail here, typed, rather
+    // than inside the resumed cycle loop.
+    const auto require = [](bool ok, const char *what) {
+        if (!ok)
+            throw SnapshotError(std::string("snapshot: ") + what);
+    };
+    const auto is_slot = [&](int slot) {
+        return slot >= 0 && slot < config.maxWarpsPerSm;
+    };
+    const auto is_reg = [&](std::uint32_t reg) {
+        return reg == kNoReg ||
+               reg < static_cast<std::uint32_t>(warps.regCount());
+    };
+
     cycle = r.u64();
     launchCounter = r.u64();
     residentIntegral = r.u64();
     lastProgressCycle = r.u64();
+    require(lastProgressCycle <= cycle, "progress clock ahead of the cycle");
     launched = r.boolean();
     shrinkApplied = r.boolean();
     corruptApplied = r.boolean();
@@ -1482,6 +1464,7 @@ Sm::restoreState(SnapshotReader &r)
     for (int slot = 0; slot < warps.numSlots(); ++slot) {
         SimWarp &warp = warps.warp(slot);
         warp.slot = r.i32();
+        require(warp.slot == slot, "warp record for the wrong slot");
         warp.ctaSlot = r.i32();
         warp.ctaId = r.i32();
         warp.warpInCta = r.i32();
@@ -1511,12 +1494,24 @@ Sm::restoreState(SnapshotReader &r)
             warp.sregs.values[i] = r.i64();
         warps.sbFromBitmask(slot, r.bitmask());
         warps.setPendingMem(slot, r.i32());
-        warps.setWakeAt(slot, r.u64());
+        r.u64();  // retired wake-cycle field
         warp.waitSince = r.u64();
         warp.holdsExt = r.boolean();
         warp.srpSection = r.i32();
+        // A held section indexes the operand mapping; none is -1.
+        require(warp.holdsExt
+                    ? warp.srpSection >= 0 &&
+                          warp.srpSection < config.maxWarpsPerSm &&
+                          (!mapper ||
+                           warp.srpSection < mapper->sectionCount())
+                    : warp.srpSection == -1,
+                "warp SRP section out of range");
         warp.acquireWaitSince = r.u64();
         warp.physMapped = r.bitmask();
+        require(!warps.resident(slot) ||
+                    warp.physMapped.size() ==
+                        static_cast<std::size_t>(program.info.numRegs),
+                "warp register-mapping mask has the wrong size");
         warp.ownsLock = r.boolean();
         warp.instructions = r.u64();
     }
@@ -1527,9 +1522,13 @@ Sm::restoreState(SnapshotReader &r)
     for (ResidentCta &cta : ctas) {
         cta.ctaId = r.i32();
         const std::uint32_t num_slots = r.u32();
+        require(num_slots <= static_cast<std::uint32_t>(config.maxWarpsPerSm),
+                "CTA warp list longer than the SM");
         cta.warpSlots.assign(num_slots, -1);
-        for (std::uint32_t i = 0; i < num_slots; ++i)
+        for (std::uint32_t i = 0; i < num_slots; ++i) {
             cta.warpSlots[i] = r.i32();
+            require(is_slot(cta.warpSlots[i]), "CTA warp slot out of range");
+        }
         cta.warpsAlive = r.i32();
         cta.barrierArrived = r.i32();
         cta.active = r.boolean();
@@ -1553,6 +1552,24 @@ Sm::restoreState(SnapshotReader &r)
             cta.smem.setWord(static_cast<std::size_t>(index), r.i64());
         }
     }
+    std::vector<std::string> violations;
+    auditStructure(violations);
+    if (!violations.empty()) {
+        throw SnapshotError("snapshot: inconsistent SM state (" +
+                            violations.front() + ")");
+    }
+    // With extended-register checking on, a warp's held section must
+    // fit where its pc sits between the directives, or its next
+    // extended access would trip the issue-stage held-section check.
+    if (mapper && mapper->extendedMode()) {
+        const std::vector<std::uint8_t> holds = holdStatesByPc(program);
+        for (int slot = 0; slot < warps.numSlots(); ++slot) {
+            require(!warps.resident(slot) ||
+                        (holds[static_cast<std::size_t>(warps.pc(slot))] &
+                         (warps.warp(slot).holdsExt ? kHeld : kFree)) != 0,
+                    "warp pc unreachable with its held section");
+        }
+    }
 
     events.reset(cycle);
     const std::uint32_t num_events = r.u32();
@@ -1560,7 +1577,10 @@ Sm::restoreState(SnapshotReader &r)
         SimEvent event{};
         event.cycle = r.u64();
         event.warpSlot = r.i32();
-        event.reg = static_cast<RegId>(r.u32());
+        const std::uint32_t reg = r.u32();
+        require(is_slot(event.warpSlot) && is_reg(reg),
+                "event operand out of range");
+        event.reg = static_cast<RegId>(reg);
         event.memCompletion = r.boolean();
         event.spillWake = r.boolean();
         event.launchOrder = r.u64();
@@ -1572,7 +1592,10 @@ Sm::restoreState(SnapshotReader &r)
     for (std::uint32_t i = 0; i < num_reqs; ++i) {
         MemRequest req{};
         req.warpSlot = r.i32();
-        req.reg = static_cast<RegId>(r.u32());
+        const std::uint32_t reg = r.u32();
+        require(is_slot(req.warpSlot) && is_reg(reg),
+                "memory request operand out of range");
+        req.reg = static_cast<RegId>(reg);
         req.launchOrder = r.u64();
         memQueue.push(req);
     }
@@ -1580,8 +1603,14 @@ Sm::restoreState(SnapshotReader &r)
     const std::uint32_t num_scheds = r.u32();
     if (num_scheds != schedLastIssued.size())
         throw SnapshotError("snapshot: scheduler count mismatch");
-    for (std::uint32_t i = 0; i < num_scheds; ++i)
-        schedLastIssued[i] = r.i32();
+    for (std::uint32_t i = 0; i < num_scheds; ++i) {
+        const int slot = r.i32();
+        require(slot == -1 ||
+                    (is_slot(slot) && slot % config.numSchedulers ==
+                                          static_cast<int>(i)),
+                "scheduler's last-issued warp is not its own");
+        schedLastIssued[i] = slot;
+    }
 
     const int mem_log2 = r.i32();
     const std::uint64_t mem_seed = r.u64();
@@ -1612,12 +1641,9 @@ Sm::restoreState(SnapshotReader &r)
     if (trace) {
         trace->record(TraceEvent{cycle, -1, -1, -1, TraceKind::Restore});
     }
-    if (met.restores)
-        met.restores->add();
-    if (met.residentCtas)
-        met.residentCtas->set(residentCtas);
-    if (met.residentWarps)
-        met.residentWarps->set(aliveWarps);
+    if (restores)
+        restores->add();
+    nextSampleCycle = sampleCycleAfterNow();
 }
 
 } // namespace rm

@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "isa/program.hh"
@@ -67,9 +68,10 @@ class Sm
      * @param gmem       global memory shared across CTAs
      * @param mapper     optional operand-collector mapping to verify
      *                   every register access against
-     * @param metrics    optional metrics registry the SM instruments
-     * @param sampler    optional interval sampler ticked every cycle
-     *                   (attaching one disables skip-ahead)
+     * @param metrics    optional metrics registry the SM publishes its
+     *                   counts into (see publishMetrics)
+     * @param sampler    optional interval sampler; the SM takes a
+     *                   sample at every multiple of its interval
      * @param sm_id      machine-level SM id (forensics context only)
      * @param fault      deterministic fault-injection plan (sim/fault.hh);
      *                   the default plan injects nothing
@@ -101,12 +103,6 @@ class Sm
      *  run whenever runControlled returned). */
     const SimStats &currentStats() const { return stats; }
 
-    /** True once every assigned CTA has retired. */
-    bool gridDone() const
-    {
-        return stats.ctasCompleted >= static_cast<std::uint64_t>(ctasToRun);
-    }
-
     /**
      * Serialize the complete dynamic state (warp contexts, event and
      * memory queues, scheduler position, allocator state, memory diff,
@@ -120,11 +116,12 @@ class Sm
      * Inverse of saveState. The Sm must have been constructed with the
      * same config/program/policy/ctas (validated via an identity
      * header; throws SnapshotError on mismatch) and a pristine
-     * GlobalMemory of the same geometry and seed. Reads both the v3
-     * slab layout and v2 per-warp register vectors (the two warp
-     * encodings are wire-compatible; v2 register images of
-     * non-resident slots are discarded, which is behaviour-neutral —
-     * a relaunch always zero-fills).
+     * GlobalMemory of the same geometry and seed. Saved indices are
+     * range-checked and the warp/CTA bookkeeping audited, so a damaged
+     * image throws SnapshotError rather than corrupting the engine.
+     * Reads the v3 and the wire-compatible v2 warp encodings (v2
+     * register images of non-resident slots are dropped: a relaunch
+     * always zero-fills).
      */
     void restoreState(SnapshotReader &r);
 
@@ -143,39 +140,20 @@ class Sm
     RegisterAllocator &allocator;
     GlobalMemory &gmem;
     std::optional<RegisterMapper> mapper;
-    IssueTrace *trace;  ///< optional, owned by the caller
-    Sampler *sampler;   ///< optional, owned by the caller
+    IssueTrace *trace;          ///< optional, owned by the caller
+    MetricsRegistry *metrics;   ///< optional, owned by the caller
+    Sampler *sampler;           ///< optional, owned by the caller
 
     /**
-     * Instrument pointers cached out of the registry at construction so
-     * the issue/stall paths pay one null-check per update site (all
-     * null when no registry is attached). See docs/OBSERVABILITY.md
-     * for the metric catalog.
+     * The only event-driven instruments: what they count has no
+     * SimStats field. Every other metric is published from SimStats
+     * and live SM state (publishMetrics). All null without a registry.
      */
-    struct Instruments
-    {
-        Counter *issued = nullptr;
-        Counter *idleSlots = nullptr;
-        Counter *instructions = nullptr;
-        Counter *stallScoreboard = nullptr;
-        Counter *stallMem = nullptr;
-        Counter *stallBarrier = nullptr;
-        Counter *stallAcquire = nullptr;
-        Counter *stallResource = nullptr;
-        Counter *stallNoWarp = nullptr;
-        Counter *acquireAttempts = nullptr;
-        Counter *acquireSuccesses = nullptr;
-        Counter *acquireBlocked = nullptr;
-        Counter *releases = nullptr;
-        Counter *emergencySpills = nullptr;
-        Gauge *srpHolders = nullptr;
-        Gauge *residentWarps = nullptr;
-        Gauge *residentCtas = nullptr;
-        Histogram *acquireWait = nullptr;
-        Counter *snapshots = nullptr;
-        Counter *restores = nullptr;
-    };
-    Instruments met;
+    Histogram *acquireWait = nullptr;
+    Counter *snapshots = nullptr;
+    Counter *restores = nullptr;
+    /** Next cycle a sample is due (kNoSample without a sampler). */
+    std::uint64_t nextSampleCycle = 0;
 
     const int ctasToRun;
     const int warpsPerCta;
@@ -273,15 +251,22 @@ class Sm
      * Skip-ahead fast path: on an idle cycle with every resident warp
      * provably waiting on a future wheel event, jump the clock to just
      * before the earliest of {next event, cycle budget, next epoch
-     * boundary, pending one-shot fault, watchdog expiry} and account
-     * the skipped idle cycles in closed form. Bit-identical to ticking
-     * them (the per-cycle bookkeeping of an idle span is a pure
-     * function of the frozen machine state).
+     * boundary, next sample, pending one-shot fault, watchdog expiry}
+     * and account the skipped idle cycles in closed form. Bit-identical
+     * to ticking them (the per-cycle bookkeeping of an idle span is a
+     * pure function of the frozen machine state).
      */
     void skipAhead(const RunControl &control, bool epoch_work);
 
     /** The per-cycle idle bookkeeping of schedule(), times @p n. */
     void accountIdleCycles(std::uint64_t n);
+
+    /**
+     * Charge @p n idle cycles of @p scheduler to one stall reason: the
+     * @p sample verdict of its first blocked Ready warp, else what its
+     * first waiting warp waits on, else no warp at all.
+     */
+    void chargeIdle(int scheduler, BlockReason sample, std::uint64_t n);
 
     /**
      * Outcome of the starvation check (no instruction issued and no
@@ -300,14 +285,34 @@ class Sm
     std::shared_ptr<const HangDiagnosis>
     captureDiagnosis(DeadlockCause cause, bool watchdog_expired) const;
 
-    /** Classify why the SM is wedged (Acquire > Resource > Barrier). */
-    DeadlockCause classifyWedge(int blocked_acquire, int blocked_resource,
-                                int blocked_barrier) const;
-    /** classifyWedge over the current warp states (watchdog path). */
-    DeadlockCause classifyWedgeNow() const;
+    /** Classify why the SM is wedged from the current warp states
+     *  (Acquire > Resource > Barrier). */
+    DeadlockCause classifyWedge() const;
 
-    /** Fill the derived SimStats fields (idempotent). */
+    /** Fill the derived SimStats fields and publish the metric catalog
+     *  (idempotent; runs at every leg end). */
     void finishStats();
+
+    /**
+     * Write the metric catalog into the attached registry: counters
+     * are SimStats fields, gauges are live SM state (see
+     * docs/OBSERVABILITY.md). Runs at every sample and leg end, so a
+     * resumed run reports whole-run totals.
+     */
+    void publishMetrics() const;
+
+    /** Publish, sample, and arm the next sample cycle. */
+    void takeSample();
+
+    /** First sample cycle after the current one (kNoSample if none). */
+    std::uint64_t sampleCycleAfterNow() const;
+
+    /**
+     * Warp/CTA bookkeeping invariants (slot ownership, per-CTA and
+     * SM-wide counts, pc and outstanding-request ranges); appends one
+     * line per violation. Shared by the sanitizer and restoreState.
+     */
+    void auditStructure(std::vector<std::string> &violations) const;
 
     /** Sanitizer epoch audit; throws SanitizerError on violation. */
     void auditEpoch();

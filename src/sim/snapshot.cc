@@ -246,23 +246,8 @@ saveStats(SnapshotWriter &w, const SimStats &s)
     w.i32(s.theoreticalWarps);
     w.f64(s.theoreticalOccupancy);
     w.f64(s.avgResidentWarps);
-    w.u64(s.acquireAttempts);
-    w.u64(s.acquireSuccesses);
-    w.u64(s.acquireAlreadyHeld);
-    w.u64(s.releases);
-    w.u64(s.issuedSlots);
-    w.u64(s.idleSchedulerSlots);
-    w.u64(s.scoreboardStalls);
-    w.u64(s.memStructuralStalls);
-    w.u64(s.barrierStalls);
-    w.u64(s.acquireStalls);
-    w.u64(s.resourceStalls);
-    w.u64(s.noWarpStalls);
-    w.u64(s.emergencySpills);
-    w.u64(s.lockAcquisitions);
-    w.u64(s.extRegAccesses);
-    w.u64(s.bankConflicts);
-    w.u64(s.faultEvents);
+    for (const auto counter : kSummedCounters)
+        w.u64(s.*counter);
     w.boolean(s.deadlocked);
     w.u8(static_cast<std::uint8_t>(s.deadlockCause));
 }
@@ -280,23 +265,8 @@ loadStats(SnapshotReader &r)
     s.theoreticalWarps = r.i32();
     s.theoreticalOccupancy = r.f64();
     s.avgResidentWarps = r.f64();
-    s.acquireAttempts = r.u64();
-    s.acquireSuccesses = r.u64();
-    s.acquireAlreadyHeld = r.u64();
-    s.releases = r.u64();
-    s.issuedSlots = r.u64();
-    s.idleSchedulerSlots = r.u64();
-    s.scoreboardStalls = r.u64();
-    s.memStructuralStalls = r.u64();
-    s.barrierStalls = r.u64();
-    s.acquireStalls = r.u64();
-    s.resourceStalls = r.u64();
-    s.noWarpStalls = r.u64();
-    s.emergencySpills = r.u64();
-    s.lockAcquisitions = r.u64();
-    s.extRegAccesses = r.u64();
-    s.bankConflicts = r.u64();
-    s.faultEvents = r.u64();
+    for (const auto counter : kSummedCounters)
+        s.*counter = r.u64();
     s.deadlocked = r.boolean();
     s.deadlockCause = static_cast<DeadlockCause>(r.u8());
     return s;

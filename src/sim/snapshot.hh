@@ -80,7 +80,15 @@ class SnapshotReader
     int i32();
     std::int64_t i64();
     double f64();
-    bool boolean() { return u8() != 0; }
+    /** Only 0 and 1 are booleans; any other byte is damage. */
+    bool
+    boolean()
+    {
+        const std::uint8_t v = u8();
+        if (v > 1)
+            throw SnapshotError("snapshot: invalid boolean byte");
+        return v == 1;
+    }
     std::string str();
     std::string bytes();
     Bitmask bitmask();

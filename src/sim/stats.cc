@@ -35,6 +35,10 @@ deadlockCauseFromName(const std::string &name)
 bool
 operator==(const SimStats &a, const SimStats &b)
 {
+    for (const auto counter : kSummedCounters) {
+        if (a.*counter != b.*counter)
+            return false;
+    }
     return a.kernelName == b.kernelName &&
            a.allocatorName == b.allocatorName && a.cycles == b.cycles &&
            a.instructions == b.instructions &&
@@ -43,22 +47,6 @@ operator==(const SimStats &a, const SimStats &b)
            a.theoreticalWarps == b.theoreticalWarps &&
            a.theoreticalOccupancy == b.theoreticalOccupancy &&
            a.avgResidentWarps == b.avgResidentWarps &&
-           a.acquireAttempts == b.acquireAttempts &&
-           a.acquireSuccesses == b.acquireSuccesses &&
-           a.acquireAlreadyHeld == b.acquireAlreadyHeld &&
-           a.releases == b.releases && a.issuedSlots == b.issuedSlots &&
-           a.idleSchedulerSlots == b.idleSchedulerSlots &&
-           a.scoreboardStalls == b.scoreboardStalls &&
-           a.memStructuralStalls == b.memStructuralStalls &&
-           a.barrierStalls == b.barrierStalls &&
-           a.acquireStalls == b.acquireStalls &&
-           a.resourceStalls == b.resourceStalls &&
-           a.noWarpStalls == b.noWarpStalls &&
-           a.emergencySpills == b.emergencySpills &&
-           a.lockAcquisitions == b.lockAcquisitions &&
-           a.extRegAccesses == b.extRegAccesses &&
-           a.bankConflicts == b.bankConflicts &&
-           a.faultEvents == b.faultEvents &&
            a.deadlocked == b.deadlocked &&
            a.deadlockCause == b.deadlockCause &&
            (a.hang != nullptr) == (b.hang != nullptr);

@@ -110,6 +110,24 @@ struct SimStats
 };
 
 /**
+ * The SimStats counters that add up across SMs, in snapshot order
+ * (acquireAttempts through faultEvents). mergeSmStats sums them, and
+ * the snapshot codec and operator== walk them, so a new counter is
+ * added here once.
+ */
+inline constexpr std::uint64_t SimStats::*kSummedCounters[] = {
+    &SimStats::acquireAttempts,  &SimStats::acquireSuccesses,
+    &SimStats::acquireAlreadyHeld, &SimStats::releases,
+    &SimStats::issuedSlots,      &SimStats::idleSchedulerSlots,
+    &SimStats::scoreboardStalls, &SimStats::memStructuralStalls,
+    &SimStats::barrierStalls,    &SimStats::acquireStalls,
+    &SimStats::resourceStalls,   &SimStats::noWarpStalls,
+    &SimStats::emergencySpills,  &SimStats::lockAcquisitions,
+    &SimStats::extRegAccesses,   &SimStats::bankConflicts,
+    &SimStats::faultEvents,
+};
+
+/**
  * Bit-exact equality over every counter and derived value (doubles
  * compare by value, which for our deterministic pipeline means by bit
  * pattern). The hang forensics pointer compares by presence only: two

@@ -21,7 +21,6 @@ WarpStore::reset(int slots, int num_regs, const IssueCheckMeta *meta,
                   static_cast<std::uint8_t>(WarpState::Unused));
     pc_.assign(static_cast<std::size_t>(slots), 0);
     pendingMem_.assign(static_cast<std::size_t>(slots), 0);
-    wakeAt_.assign(static_cast<std::size_t>(slots), 0);
     sb_.assign(static_cast<std::size_t>(slots), 0);
     regSlab_.assign(static_cast<std::size_t>(slots) * regStride_, 0);
 

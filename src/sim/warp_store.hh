@@ -10,7 +10,7 @@
  * cycle candidate scan chased two pointers per warp. Here the hot
  * fields live in flat parallel arrays indexed by slot:
  *
- *   - state / pc / pendingMem / wakeAt: one contiguous array each, so
+ *   - state / pc / pendingMem: one contiguous array each, so
  *     per-slot walks touch cache lines, not objects;
  *   - the scoreboard: one u64 word per slot (the engine admits at most
  *     kEngineWordBits registers per thread, sim/config.hh), so a test
@@ -102,12 +102,6 @@ class WarpStore
     {
         pendingMem_[asIdx(slot)] += delta;
         recomputeClean(slot);
-    }
-
-    std::uint64_t wakeAt(int slot) const { return wakeAt_[asIdx(slot)]; }
-    void setWakeAt(int slot, std::uint64_t c)
-    {
-        wakeAt_[asIdx(slot)] = c;
     }
 
     // --- Architected register slab ---
@@ -206,7 +200,6 @@ class WarpStore
     std::vector<std::uint8_t> state_;
     std::vector<std::int32_t> pc_;
     std::vector<std::int32_t> pendingMem_;
-    std::vector<std::uint64_t> wakeAt_;
     std::vector<std::uint64_t> sb_;
     std::vector<std::int64_t> regSlab_;
 };

@@ -7,19 +7,24 @@
  * SimWarp, per-cycle loop; see tests/make_engine_goldens.cc); this
  * suite replays the same grid on the current engine and demands
  * identical statsToJson documents, identical results with skip-ahead
- * disabled, and a bit-exact resume from the v2-codec snapshot fixture.
+ * disabled (with and without a sampler attached), and a bit-exact
+ * resume from the v2-codec snapshot fixture.
  */
 
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/experiment.hh"
 #include "obs/export.hh"
+#include "obs/metrics.hh"
+#include "obs/profiler.hh"
+#include "obs/sampler.hh"
 #include "sim/config.hh"
 #include "sim/event_wheel.hh"
 #include "sim/sm.hh"
@@ -157,6 +162,71 @@ TEST(EngineEquivalence, SkipAheadOffIsBitIdentical)
     for (const Case &c : goldenCases()) {
         if (!c.fullMachine)
             expectMatchesGolden(c, 1);
+    }
+}
+
+/**
+ * A golden case run with a registry and sampler attached to SM 0,
+ * counting the cycles the engine stepped through one by one (the
+ * profiler's schedule passes; skipped cycles have none).
+ */
+struct SampledRun
+{
+    MetricsRegistry registry;
+    Sampler sampler{registry, 250};
+    PolicyRun run;
+    std::uint64_t steppedCycles = 0;
+
+    explicit SampledRun(const Case &c)
+    {
+        Program program = buildWorkload(c.workload);
+        RunOptions options;
+        if (c.faulted)
+            options.gpu.fault = goldenFaultPlan();
+        options.gpu.obs.metrics = &registry;
+        options.gpu.obs.sampler = &sampler;
+        Profiler::enable();
+        run = runPolicy(c.policy, program, gtx480Config(), options);
+        const ProfReport profile = Profiler::report();
+        Profiler::disable();
+        steppedCycles =
+            profile.phases[static_cast<int>(ProfPhase::SmSchedule)].count;
+    }
+};
+
+TEST(EngineEquivalence, SampledRunsSkipAheadBitIdentically)
+{
+    // Skip-ahead stays on with sinks attached and stops short of every
+    // sample cycle, so stats and series must equal the per-cycle run's.
+    for (const Case &c : goldenCases()) {
+        if (c.fullMachine)
+            continue;
+        const SampledRun fast(c);
+        std::optional<SampledRun> slow;
+        {
+            SkipAheadGuard guard(false);
+            slow.emplace(c);
+        }
+        ASSERT_TRUE(fast.run.result.completed()) << c.key;
+        EXPECT_EQ(statsToJson(fast.run.stats()), goldenStats().at(c.key))
+            << c.key;
+        EXPECT_EQ(fast.run.stats(), slow->run.stats()) << c.key;
+        EXPECT_LT(fast.steppedCycles, fast.run.stats().cycles) << c.key;
+        EXPECT_EQ(slow->steppedCycles, slow->run.stats().cycles) << c.key;
+        EXPECT_EQ(fast.sampler.samples().size(),
+                  fast.run.stats().cycles / fast.sampler.interval())
+            << c.key;
+        EXPECT_EQ(fast.sampler.columns(), slow->sampler.columns()) << c.key;
+        ASSERT_EQ(fast.sampler.samples().size(),
+                  slow->sampler.samples().size())
+            << c.key;
+        for (std::size_t i = 0; i < fast.sampler.samples().size(); ++i) {
+            const SamplePoint &a = fast.sampler.samples()[i];
+            const SamplePoint &b = slow->sampler.samples()[i];
+            EXPECT_EQ(a.cycle, b.cycle) << c.key;
+            EXPECT_EQ(a.values, b.values)
+                << c.key << " sample at cycle " << a.cycle;
+        }
     }
 }
 

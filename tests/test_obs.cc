@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -22,6 +24,7 @@
 #include "obs/metrics.hh"
 #include "obs/sampler.hh"
 #include "sim/gpu.hh"
+#include "sim/snapshot.hh"
 #include "sim/trace.hh"
 #include "workloads/suite.hh"
 
@@ -42,8 +45,8 @@ TEST(Metrics, CounterAccumulates)
 TEST(Metrics, GaugeMovesBothWays)
 {
     Gauge g;
-    g.add(5);
-    g.sub(8);
+    EXPECT_EQ(g.value(), 0);
+    g.set(-3);
     EXPECT_EQ(g.value(), -3);
     g.set(7);
     EXPECT_EQ(g.value(), 7);
@@ -103,33 +106,64 @@ TEST(Metrics, RegistryReferencesAreStable)
 
 // --- Sampler ---------------------------------------------------------
 
+/** One BFS regmutex run with a registry and an @p interval sampler. */
+PolicyRun
+sampledRun(MetricsRegistry &registry, Sampler &sampler,
+           std::uint64_t max_cycles = 0)
+{
+    RunOptions options;
+    options.gpu.obs.metrics = &registry;
+    options.gpu.obs.sampler = &sampler;
+    options.gpu.control.maxCycles = max_cycles;
+    return runPolicy("regmutex", buildWorkload("BFS"), gtx480Config(),
+                     options);
+}
+
 TEST(Sampler, SamplesOnExactMultiplesOfInterval)
 {
+    constexpr std::uint64_t kInterval = 333;
     MetricsRegistry registry;
-    Counter &c = registry.counter("events");
-    Sampler sampler(registry, 3);
-    for (std::uint64_t cycle = 1; cycle <= 10; ++cycle) {
-        c.add();
-        sampler.tick(cycle);
-    }
-    ASSERT_EQ(sampler.samples().size(), 3u);
-    EXPECT_EQ(sampler.samples()[0].cycle, 3u);
-    EXPECT_EQ(sampler.samples()[1].cycle, 6u);
-    EXPECT_EQ(sampler.samples()[2].cycle, 9u);
-    // Counter values captured at the sampled cycles.
-    EXPECT_DOUBLE_EQ(sampler.samples()[0].values[0], 3.0);
-    EXPECT_DOUBLE_EQ(sampler.samples()[2].values[0], 9.0);
+    Sampler sampler(registry, kInterval);
+    const PolicyRun run = sampledRun(registry, sampler);
+    ASSERT_TRUE(run.result.completed());
+    const std::uint64_t cycles = run.stats().cycles;
+    ASSERT_EQ(sampler.samples().size(), cycles / kInterval);
+    for (std::size_t i = 0; i < sampler.samples().size(); ++i)
+        EXPECT_EQ(sampler.samples()[i].cycle, (i + 1) * kInterval);
+
+    // Values are the SM's counts at the sampled cycle: a run cut at
+    // that cycle ends with the same totals.
+    MetricsRegistry cut_registry;
+    Sampler cut_sampler(cut_registry, kInterval);
+    const PolicyRun cut = sampledRun(cut_registry, cut_sampler,
+                                     3 * kInterval);
+    ASSERT_FALSE(cut.result.completed());
+    const SamplePoint &row = sampler.samples()[2];
+    const auto column = [&](const std::string &name) {
+        const auto &cols = sampler.columns();
+        const auto it = std::find(cols.begin(), cols.end(), name);
+        EXPECT_NE(it, cols.end()) << name;
+        return row.values[static_cast<std::size_t>(it - cols.begin())];
+    };
+    EXPECT_DOUBLE_EQ(column("issue.instructions"),
+                     static_cast<double>(cut.stats().instructions));
+    EXPECT_DOUBLE_EQ(column("stall.scoreboard"),
+                     static_cast<double>(cut.stats().scoreboardStalls));
+    EXPECT_EQ(cut_sampler.samples().size(), 3u);
 }
 
 TEST(Sampler, ZeroIntervalDisablesTicks)
 {
     MetricsRegistry registry;
     Sampler sampler(registry, 0);
-    for (std::uint64_t cycle = 1; cycle <= 100; ++cycle)
-        sampler.tick(cycle);
+    const PolicyRun run = sampledRun(registry, sampler);
+    ASSERT_TRUE(run.result.completed());
     EXPECT_TRUE(sampler.samples().empty());
-    // An explicit snapshot still works (end-of-run row).
-    sampler.snapshot(100);
+    // The registry is still published at the end of the run, and an
+    // explicit snapshot still works (end-of-run row).
+    EXPECT_EQ(registry.counter("issue.instructions").value(),
+              run.stats().instructions);
+    sampler.snapshot(run.stats().cycles);
     EXPECT_EQ(sampler.samples().size(), 1u);
 }
 
@@ -138,9 +172,9 @@ TEST(Sampler, LateMetricOpensBackfilledColumn)
     MetricsRegistry registry;
     registry.counter("early").add(1);
     Sampler sampler(registry, 1);
-    sampler.tick(1);
+    sampler.snapshot(1);
     registry.counter("late").add(5);
-    sampler.tick(2);
+    sampler.snapshot(2);
     ASSERT_EQ(sampler.columns().size(), 2u);
     EXPECT_EQ(sampler.columns()[0], "early");
     EXPECT_EQ(sampler.columns()[1], "late");
@@ -154,7 +188,7 @@ TEST(Sampler, HistogramsFlattenToThreeColumns)
     MetricsRegistry registry;
     registry.histogram("wait").observe(4);
     Sampler sampler(registry, 1);
-    sampler.tick(1);
+    sampler.snapshot(1);
     const std::vector<std::string> expected{"wait.count", "wait.sum",
                                             "wait.max"};
     EXPECT_EQ(sampler.columns(), expected);
@@ -234,9 +268,9 @@ TEST(Export, SamplerCsvHasHeaderAndIntegralCells)
     registry.counter("issue.slots").add(7);
     registry.gauge("warps").set(3);
     Sampler sampler(registry, 10);
-    sampler.tick(10);
+    sampler.snapshot(10);
     registry.counter("issue.slots").add(5);
-    sampler.tick(20);
+    sampler.snapshot(20);
 
     const std::string csv = samplerToCsv(sampler);
     std::istringstream lines(csv);
@@ -538,6 +572,116 @@ TEST_F(ObservedRun, DisablingSinksChangesNoCycles)
     const RegMutexRun plain = runRegMutex(p, gtx480Config());
     EXPECT_EQ(plain.stats.cycles, run.stats.cycles);
     EXPECT_EQ(plain.stats.instructions, run.stats.instructions);
+}
+
+// --- Observing a resumed run -----------------------------------------
+
+/** The SimStats field behind each published counter. */
+std::map<std::string, std::uint64_t>
+countersFromStats(const SimStats &s)
+{
+    return {
+        {"issue.slots_issued", s.issuedSlots},
+        {"issue.idle_slots", s.idleSchedulerSlots},
+        {"issue.instructions", s.instructions},
+        {"stall.scoreboard", s.scoreboardStalls},
+        {"stall.mem_structural", s.memStructuralStalls},
+        {"stall.barrier", s.barrierStalls},
+        {"stall.acquire", s.acquireStalls},
+        {"stall.resource", s.resourceStalls},
+        {"stall.no_warp", s.noWarpStalls},
+        {"srp.acquire_attempts", s.acquireAttempts},
+        {"srp.acquire_successes", s.acquireSuccesses},
+        {"srp.acquire_blocked", s.acquireAttempts - s.acquireSuccesses},
+        {"srp.releases", s.releases},
+        {"sim.emergency_spills", s.emergencySpills},
+    };
+}
+
+/** Columns that cover the current process only, not the whole run. */
+bool
+processLocalColumn(const std::string &column)
+{
+    return column.rfind("srp.acquire_wait_cycles.", 0) == 0 ||
+           column == "sim.snapshots" || column == "sim.restores";
+}
+
+TEST(ObservedResume, MetricsAreWholeRunTotals)
+{
+    constexpr std::uint64_t kInterval = 1000;
+    const Program program = buildWorkload("SPMV");
+    const GpuConfig config = halfRegisterFile(gtx480Config());
+
+    MetricsRegistry whole_registry;
+    Sampler whole(whole_registry, kInterval);
+    RunOptions whole_options;
+    whole_options.gpu.obs = {nullptr, &whole_registry, &whole};
+    const PolicyRun ref =
+        runPolicy("regmutex", program, config, whole_options);
+    ASSERT_TRUE(ref.result.completed());
+
+    RunOptions cut_options;
+    cut_options.gpu.control.maxCycles = 25000;
+    const PolicyRun cut = runPolicy("regmutex", program, config, cut_options);
+    ASSERT_NE(cut.result.snapshot, nullptr);
+
+    // Resume in fresh sinks, as a new process would.
+    MetricsRegistry registry;
+    Sampler sampler(registry, kInterval);
+    RunOptions resume_options;
+    resume_options.gpu.obs = {nullptr, &registry, &sampler};
+    resume_options.gpu.resume = std::make_shared<const GpuSnapshot>(
+        GpuSnapshot::deserialize(cut.result.snapshot->serialize()));
+    const PolicyRun resumed =
+        runPolicy("regmutex", program, config, resume_options);
+    ASSERT_TRUE(resumed.result.completed());
+    ASSERT_EQ(resumed.stats(), ref.stats());
+
+    for (const auto &[name, value] : countersFromStats(resumed.stats()))
+        EXPECT_EQ(registry.counter(name).value(), value) << name;
+    EXPECT_EQ(registry.counter("sim.restores").value(), 1u);
+
+    ASSERT_EQ(sampler.columns(), whole.columns());
+    const std::vector<std::string> &cols = sampler.columns();
+    const std::size_t holders = static_cast<std::size_t>(
+        std::find(cols.begin(), cols.end(), "srp.holders") - cols.begin());
+    ASSERT_LT(holders, cols.size());
+    std::size_t compared = 0;
+    for (const SamplePoint &row : sampler.samples()) {
+        EXPECT_GE(row.values[holders], 0.0) << "cycle " << row.cycle;
+        const std::size_t k = row.cycle / kInterval - 1;
+        ASSERT_LT(k, whole.samples().size());
+        const SamplePoint &expected = whole.samples()[k];
+        ASSERT_EQ(expected.cycle, row.cycle);
+        for (std::size_t c = 0; c < cols.size(); ++c) {
+            if (processLocalColumn(cols[c]))
+                continue;
+            EXPECT_EQ(row.values[c], expected.values[c])
+                << cols[c] << " at cycle " << row.cycle;
+        }
+        ++compared;
+    }
+    EXPECT_EQ(compared, ref.stats().cycles / kInterval - 25);
+}
+
+TEST(ObservedResume, RegistryLeavesSnapshotBytesAlone)
+{
+    const Program program = buildWorkload("LavaMD");
+    const GpuConfig config = halfRegisterFile(gtx480Config());
+    RunOptions plain;
+    plain.gpu.control.maxCycles = 1200;
+    const PolicyRun bare = runPolicy("regmutex", program, config, plain);
+
+    MetricsRegistry registry;
+    Sampler sampler(registry, 100);
+    RunOptions observed = plain;
+    observed.gpu.obs = {nullptr, &registry, &sampler};
+    const PolicyRun watched = runPolicy("regmutex", program, config, observed);
+
+    ASSERT_NE(bare.result.snapshot, nullptr);
+    ASSERT_NE(watched.result.snapshot, nullptr);
+    EXPECT_EQ(bare.result.snapshot->serialize(),
+              watched.result.snapshot->serialize());
 }
 
 // --- Hostile input ---

@@ -223,6 +223,65 @@ TEST(GpuSnapshotFormat, EveryByteFlipAndTruncationIsTypedOrParses)
     }
 }
 
+/**
+ * The same damage carried through a resume. Bytes that still decode
+ * reach Sm::restoreState, which must range-check every saved index and
+ * the warp/CTA bookkeeping: each flipped byte of a running SM's state
+ * image ends in SnapshotError or in a resumed run that reaches its
+ * cycle budget. A crash, a panic from an index the image smuggled in,
+ * a sanitizer report or a watchdog hang is a restore hole. A small SM
+ * on a small memory keeps the image and each resume cheap.
+ */
+TEST(GpuSnapshotFormat, EveryByteFlipOfAnSmImageIsTypedOrResumes)
+{
+    // A small SM (12 warp slots, a quarter of the GTX480 register
+    // file) keeps the image short while two resident CTAs still
+    // contend for SRP sections.
+    constexpr std::uint64_t kCut = 4000;
+    constexpr std::uint64_t kBudget = 300;
+    Program program = buildWorkload("CUTCP");
+    program.info.gridCtas = 2;
+    GpuConfig config = gtx480Config();
+    config.maxWarpsPerSm = 12;
+    config.maxThreadsPerSm = config.maxWarpsPerSm * config.warpSize;
+    config.registersPerSm = 8192;
+    const PolicySpec &policy = PolicyRegistry::instance().at("regmutex");
+    const Program compiled = policy.compile(program, config, {}).program;
+
+    GpuOptions options;
+    options.log2MemWords = 10;
+    options.control.maxCycles = kCut;
+    const GpuResult cut = simulateGpu(config, compiled, policy.allocator,
+                                      options);
+    ASSERT_FALSE(cut.completed());
+    ASSERT_NE(cut.snapshot, nullptr);
+    ASSERT_GT(cut.aggregate.acquireSuccesses, 0u);
+    const std::string &image = cut.snapshot->sms.at(0).state;
+
+    options.control.maxCycles = kCut + kBudget;
+    int rejected = 0;
+    for (std::size_t i = 0; i < image.size(); ++i) {
+        auto damaged = std::make_shared<GpuSnapshot>(*cut.snapshot);
+        damaged->sms[0].state[i] =
+            static_cast<char>(damaged->sms[0].state[i] ^ 0x5a);
+        options.resume = damaged;
+        try {
+            const GpuResult resumed =
+                simulateGpu(config, compiled, policy.allocator, options);
+            EXPECT_TRUE(resumed.completed() ||
+                        resumed.aggregate.cycles >= kCut + kBudget)
+                << "flip at byte " << i << " stopped the resumed run at "
+                << "cycle " << resumed.aggregate.cycles;
+        } catch (const SnapshotError &) {
+            ++rejected;
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "flip at byte " << i
+                          << " escaped the restore: " << e.what();
+        }
+    }
+    EXPECT_GT(rejected, 0);
+}
+
 TEST(GpuSnapshotFormat, FileRoundTripIsAtomic)
 {
     const std::string path = testing::TempDir() + "rm_snapshot_test.snap";
