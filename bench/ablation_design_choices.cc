@@ -28,18 +28,18 @@ main()
     GpuConfig banks = gto;
     banks.modelBankConflicts = true;
 
-    CompileOptions no_compaction;
-    no_compaction.enableCompaction = false;
+    RunOptions no_compaction;
+    no_compaction.compile.enableCompaction = false;
 
     Table table({"Application", "full", "no compaction", "poll retry",
                  "LRR sched", "bank conflicts"});
     double totals[5] = {0, 0, 0, 0, 0};
     for (const auto &name : occupancyLimitedSet()) {
         const Program p = buildWorkload(name);
-        const SimStats base = runBaseline(p, gto);
+        const SimStats base = runPolicy("baseline", p, gto).stats();
 
         const double full =
-            cycleReduction(base, runRegMutex(p, gto).stats);
+            cycleReduction(base, runPolicy("regmutex", p, gto).stats());
         // Without compaction a kernel can fail the barrier deadlock
         // rule outright (no candidate leaves the barrier's live set
         // inside the base registers) — itself an ablation finding.
@@ -48,20 +48,22 @@ main()
         bool nc_ok = true;
         try {
             nc = cycleReduction(
-                base, runRegMutex(p, gto, no_compaction).stats);
+                base,
+                runPolicy("regmutex", p, gto, no_compaction).stats());
             nc_cell = percent(nc);
         } catch (const FatalError &) {
             nc_ok = false;
             nc_cell = "no valid compile";
         }
         const double pr =
-            cycleReduction(base, runRegMutex(p, poll).stats);
-        const SimStats lrr_base = runBaseline(p, lrr);
-        const double lr =
-            cycleReduction(lrr_base, runRegMutex(p, lrr).stats);
-        const SimStats banks_base = runBaseline(p, banks);
-        const double bc =
-            cycleReduction(banks_base, runRegMutex(p, banks).stats);
+            cycleReduction(base, runPolicy("regmutex", p, poll).stats());
+        const SimStats lrr_base = runPolicy("baseline", p, lrr).stats();
+        const double lr = cycleReduction(
+            lrr_base, runPolicy("regmutex", p, lrr).stats());
+        const SimStats banks_base =
+            runPolicy("baseline", p, banks).stats();
+        const double bc = cycleReduction(
+            banks_base, runPolicy("regmutex", p, banks).stats());
         totals[0] += full;
         totals[1] += nc_ok ? nc : 0.0;
         totals[2] += pr;

@@ -28,24 +28,24 @@ main()
     for (const auto &name : occupancyLimitedSet()) {
         const WorkloadEntry &entry = workload(name);
         const Program p = buildWorkload(name);
-        const SimStats base = runBaseline(p, config);
+        const SimStats base = runPolicy("baseline", p, config).stats();
 
-        CompileOptions small_opt;
-        small_opt.tieBreak = EsTieBreak::SmallestPassing;
-        CompileOptions large_opt;
-        large_opt.tieBreak = EsTieBreak::LargestPassing;
+        RunOptions small_opt;
+        small_opt.compile.tieBreak = EsTieBreak::SmallestPassing;
+        RunOptions large_opt;
+        large_opt.compile.tieBreak = EsTieBreak::LargestPassing;
 
-        const RegMutexRun small = runRegMutex(p, config, small_opt);
-        const RegMutexRun large = runRegMutex(p, config, large_opt);
-        const double sr = cycleReduction(base, small.stats);
-        const double lr = cycleReduction(base, large.stats);
+        const PolicyRun small = runPolicy("regmutex", p, config, small_opt);
+        const PolicyRun large = runPolicy("regmutex", p, config, large_opt);
+        const double sr = cycleReduction(base, small.stats());
+        const double lr = cycleReduction(base, large.stats());
         small_total += sr;
         large_total += lr;
 
         const int rounded = roundRegs(config, entry.paperRegs);
         Row row;
-        row << name << small.compile.selection.es << percent(sr)
-            << large.compile.selection.es << percent(lr)
+        row << name << small.compile.compile->selection.es << percent(sr)
+            << large.compile.compile->selection.es << percent(lr)
             << rounded - entry.paperBs;
         table.addRow(row.take());
     }

@@ -29,7 +29,7 @@ main()
     double ref_cycles = 0.0, ref_energy = 0.0;
     for (const auto &name : halfRfSet()) {
         const Program p = buildWorkload(name);
-        const SimStats stats = runBaseline(p, full);
+        const SimStats stats = runPolicy("baseline", p, full).stats();
         ref_cycles += static_cast<double>(stats.cycles);
         ref_energy += estimateEnergy(full, stats).total();
     }
@@ -41,10 +41,10 @@ main()
         double rmx_cycles = 0.0, rmx_energy = 0.0;
         for (const auto &name : halfRfSet()) {
             const Program p = buildWorkload(name);
-            const SimStats base = runBaseline(p, config);
+            const SimStats base = runPolicy("baseline", p, config).stats();
             base_cycles += static_cast<double>(base.cycles);
             base_energy += estimateEnergy(config, base).total();
-            const SimStats rmx = runRegMutex(p, config).stats;
+            const SimStats rmx = runPolicy("regmutex", p, config).stats();
             rmx_cycles += static_cast<double>(rmx.cycles);
             rmx_energy += estimateEnergy(config, rmx).total();
         }

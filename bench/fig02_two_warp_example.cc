@@ -47,21 +47,22 @@ main(int argc, char **argv)
     };
     const Program p = buildKernel(spec, 1);
 
-    const SimStats base = runBaseline(p, config);
+    const SimStats base = runPolicy("baseline", p, config).stats();
 
-    CompileOptions options;
-    options.forcedEs = 16;  // the figure's 16/16 split
+    RunOptions options;
+    options.compile.forcedEs = 16;  // the figure's 16/16 split
     // The figure's timeline comes from this run's issue-stage trace.
     IssueTrace timeline(1 << 16);
-    const RegMutexRun rmx =
-        runRegMutex(p, config, options, ObsSinks{&timeline});
+    options.gpu.obs.trace = &timeline;
+    const PolicyRun rmx = runPolicy("regmutex", p, config, options);
+    const EsSelection &split = rmx.compile.compile->selection;
 
     report.addRun(base, {{"policy", "baseline"}});
-    report.addRun(rmx.stats, {{"policy", "regmutex"}},
-                  {{"cycle_reduction", cycleReduction(base, rmx.stats)},
-                   {"bs", rmx.compile.selection.bs},
-                   {"es", rmx.compile.selection.es},
-                   {"srp_sections", rmx.compile.selection.srpSections}});
+    report.addRun(rmx.stats(), {{"policy", "regmutex"}},
+                  {{"cycle_reduction", cycleReduction(base, rmx.stats())},
+                   {"bs", split.bs},
+                   {"es", split.es},
+                   {"srp_sections", split.srpSections}});
 
     Table table({"configuration", "resident warps", "cycles",
                  "overlap"});
@@ -76,8 +77,8 @@ main(int argc, char **argv)
     {
         Row row;
         row << "RegMutex (|Bs|=16, |Es|=16, SRP=16)"
-            << rmx.stats.theoreticalWarps
-            << static_cast<unsigned long long>(rmx.stats.cycles)
+            << rmx.stats().theoreticalWarps
+            << static_cast<unsigned long long>(rmx.stats().cycles)
             << "release-state portions";
         table.addRow(row.take());
     }
@@ -86,14 +87,13 @@ main(int argc, char **argv)
                  "thread, 31 architected registers each\n\n"
               << table.toText() << "\n"
               << "RegMutex split chosen: |Bs| = "
-              << rmx.compile.selection.bs << ", |Es| = "
-              << rmx.compile.selection.es << ", SRP sections = "
-              << rmx.compile.selection.srpSections << "\n"
-              << "acquires executed: " << rmx.stats.acquireAttempts
-              << ", successful: " << rmx.stats.acquireSuccesses
-              << ", releases: " << rmx.stats.releases << "\n"
+              << split.bs << ", |Es| = " << split.es
+              << ", SRP sections = " << split.srpSections << "\n"
+              << "acquires executed: " << rmx.stats().acquireAttempts
+              << ", successful: " << rmx.stats().acquireSuccesses
+              << ", releases: " << rmx.stats().releases << "\n"
               << "cycle reduction vs baseline: "
-              << percent(cycleReduction(base, rmx.stats)) << "\n\n"
+              << percent(cycleReduction(base, rmx.stats())) << "\n\n"
               << "Paper's claim: the baseline reserves 31 registers "
                  "per warp for the full duration, preventing any "
                  "overlap (2 x 31 > 48); RegMutex overlaps the "

@@ -27,26 +27,27 @@ main(int argc, char **argv)
                  "|Es|=10", "|Es|=12", "heuristic"});
     for (const auto &name : occupancyLimitedSet()) {
         const Program p = buildWorkload(name);
-        const SimStats base = runBaseline(p, config);
-        const RegMutexRun heuristic = runRegMutex(p, config);
-        const int pick = heuristic.compile.selection.es;
+        const SimStats base = runPolicy("baseline", p, config).stats();
+        const PolicyRun heuristic = runPolicy("regmutex", p, config);
+        const int pick = heuristic.compile.compile->selection.es;
 
         Row row;
         row << name;
         for (int es : sizes) {
-            CompileOptions options;
-            options.forcedEs = es;
+            RunOptions options;
+            options.compile.forcedEs = es;
             std::string cell;
             try {
-                const RegMutexRun run = runRegMutex(p, config, options);
-                cell = percent(cycleReduction(base, run.stats));
-                report.addRun(run.stats,
+                const PolicyRun run =
+                    runPolicy("regmutex", p, config, options);
+                cell = percent(cycleReduction(base, run.stats()));
+                report.addRun(run.stats(),
                               {{"workload", name},
                                {"es", std::to_string(es)},
                                {"heuristic_pick",
                                 es == pick ? "yes" : "no"}},
                               {{"cycle_reduction",
-                                cycleReduction(base, run.stats)}});
+                                cycleReduction(base, run.stats())}});
             } catch (const FatalError &) {
                 cell = "n/a";
                 report.addRecord({{"workload", name},
@@ -57,7 +58,7 @@ main(int argc, char **argv)
                 cell += " *";
             row << cell;
         }
-        row << percent(cycleReduction(base, heuristic.stats));
+        row << percent(cycleReduction(base, heuristic.stats()));
         table.addRow(row.take());
     }
 

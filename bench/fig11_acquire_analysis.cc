@@ -29,29 +29,30 @@ main(int argc, char **argv)
 
     for (const auto &name : occupancyLimitedSet()) {
         const Program p = buildWorkload(name);
-        const RegMutexRun heuristic = runRegMutex(p, config);
-        const int pick = heuristic.compile.selection.es;
+        const PolicyRun heuristic = runPolicy("regmutex", p, config);
+        const int pick = heuristic.compile.compile->selection.es;
         Row occ_row, acq_row;
         occ_row << name;
         acq_row << name;
         for (int es : sizes) {
-            CompileOptions options;
-            options.forcedEs = es;
+            RunOptions options;
+            options.compile.forcedEs = es;
             try {
-                const RegMutexRun run = runRegMutex(p, config, options);
-                report.addRun(run.stats,
+                const PolicyRun run =
+                    runPolicy("regmutex", p, config, options);
+                report.addRun(run.stats(),
                               {{"workload", name},
                                {"es", std::to_string(es)},
                                {"heuristic_pick",
                                 es == pick ? "yes" : "no"}},
                               {{"occupancy",
-                                run.stats.theoreticalOccupancy},
+                                run.stats().theoreticalOccupancy},
                                {"acquire_success_rate",
-                                run.stats.acquireSuccessRate()}});
+                                run.stats().acquireSuccessRate()}});
                 std::string o =
-                    percent(run.stats.theoreticalOccupancy);
+                    percent(run.stats().theoreticalOccupancy);
                 std::string a =
-                    percent(run.stats.acquireSuccessRate());
+                    percent(run.stats().acquireSuccessRate());
                 if (es == pick) {
                     o += " *";
                     a += " *";

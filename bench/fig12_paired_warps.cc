@@ -29,25 +29,25 @@ main(int argc, char **argv)
         double paired_total = 0.0, default_total = 0.0;
         for (const auto &name : occupancyLimitedSet()) {
             const Program p = buildWorkload(name);
-            const SimStats base = runBaseline(p, full);
-            const RegMutexRun paired = runPaired(p, full);
-            const RegMutexRun dflt = runRegMutex(p, full);
-            const double pr = cycleReduction(base, paired.stats);
-            const double dr = cycleReduction(base, dflt.stats);
+            const SimStats base = runPolicy("baseline", p, full).stats();
+            const PolicyRun paired = runPolicy("paired", p, full);
+            const PolicyRun dflt = runPolicy("regmutex", p, full);
+            const double pr = cycleReduction(base, paired.stats());
+            const double dr = cycleReduction(base, dflt.stats());
             paired_total += pr;
             default_total += dr;
-            report.addRun(paired.stats,
+            report.addRun(paired.stats(),
                           {{"workload", name}, {"arch", "full-RF"},
                            {"policy", "paired"}},
                           {{"cycle_reduction", pr}});
-            report.addRun(dflt.stats,
+            report.addRun(dflt.stats(),
                           {{"workload", name}, {"arch", "full-RF"},
                            {"policy", "regmutex"}},
                           {{"cycle_reduction", dr}});
             Row row;
             row << name << percent(pr) << percent(dr)
-                << percent(paired.stats.theoreticalOccupancy)
-                << percent(dflt.stats.theoreticalOccupancy);
+                << percent(paired.stats().theoreticalOccupancy)
+                << percent(dflt.stats().theoreticalOccupancy);
             table.addRow(row.take());
         }
         std::cout << "Fig. 12a: paired-warps specialization on the "
@@ -67,13 +67,14 @@ main(int argc, char **argv)
                none_total = 0.0;
         for (const auto &name : halfRfSet()) {
             const Program p = buildWorkload(name);
-            const SimStats base_full = runBaseline(p, full);
+            const SimStats base_full = runPolicy("baseline", p, full).stats();
             auto increase = [&](const SimStats &stats) {
                 return -cycleReduction(base_full, stats);
             };
-            const double none = increase(runBaseline(p, half));
-            const double pi = increase(runPaired(p, half).stats);
-            const double di = increase(runRegMutex(p, half).stats);
+            const double none =
+                increase(runPolicy("baseline", p, half).stats());
+            const double pi = increase(runPolicy("paired", p, half).stats());
+            const double di = increase(runPolicy("regmutex", p, half).stats());
             paired_total += pi;
             default_total += di;
             none_total += none;

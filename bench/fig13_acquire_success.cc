@@ -29,27 +29,27 @@ main(int argc, char **argv)
         const Program p = buildWorkload(entry.spec.name);
         const GpuConfig &config =
             entry.occupancyLimited ? full : half;
-        const RegMutexRun dflt = runRegMutex(p, config);
-        const RegMutexRun paired = runPaired(p, config);
+        const PolicyRun dflt = runPolicy("regmutex", p, config);
+        const PolicyRun paired = runPolicy("paired", p, config);
         const char *arch =
             entry.occupancyLimited ? "full-RF" : "half-RF";
-        report.addRun(dflt.stats,
+        report.addRun(dflt.stats(),
                       {{"workload", entry.spec.name},
                        {"arch", arch},
                        {"policy", "regmutex"}},
                       {{"acquire_success_rate",
-                        dflt.stats.acquireSuccessRate()}});
-        report.addRun(paired.stats,
+                        dflt.stats().acquireSuccessRate()}});
+        report.addRun(paired.stats(),
                       {{"workload", entry.spec.name},
                        {"arch", arch},
                        {"policy", "paired"}},
                       {{"acquire_success_rate",
-                        paired.stats.acquireSuccessRate()}});
+                        paired.stats().acquireSuccessRate()}});
         Row row;
         row << entry.spec.name
             << (entry.occupancyLimited ? "full-RF" : "half-RF")
-            << percent(dflt.stats.acquireSuccessRate())
-            << percent(paired.stats.acquireSuccessRate());
+            << percent(dflt.stats().acquireSuccessRate())
+            << percent(paired.stats().acquireSuccessRate());
         table.addRow(row.take());
     }
 

@@ -43,13 +43,14 @@ main()
         for (const auto &name : heavy) {
             const Program p = buildWorkload(name);
             try {
-                const SimStats base = runBaseline(p, arch.config);
-                const RegMutexRun rmx = runRegMutex(p, arch.config);
+                const SimStats base =
+                    runPolicy("baseline", p, arch.config).stats();
+                const PolicyRun rmx = runPolicy("regmutex", p, arch.config);
                 Row row;
                 row << arch.name << name
                     << percent(base.theoreticalOccupancy)
-                    << percent(rmx.stats.theoreticalOccupancy)
-                    << percent(cycleReduction(base, rmx.stats));
+                    << percent(rmx.stats().theoreticalOccupancy)
+                    << percent(cycleReduction(base, rmx.stats()));
                 table.addRow(row.take());
             } catch (const FatalError &e) {
                 Row row;

@@ -66,7 +66,8 @@ BM_TimingSimulatorBaseline(benchmark::State &state)
     const rm::GpuConfig config = rm::gtx480Config();
     std::uint64_t cycles = 0;
     for (auto _ : state) {
-        const rm::SimStats stats = rm::runBaseline(p, config);
+        const rm::SimStats stats =
+            rm::runPolicy("baseline", p, config).stats();
         cycles += stats.cycles;
         benchmark::DoNotOptimize(stats.cycles);
     }
@@ -81,7 +82,7 @@ BM_TimingSimulatorRegMutex(benchmark::State &state)
     const rm::Program p = rm::buildWorkload("BFS");
     const rm::GpuConfig config = rm::gtx480Config();
     for (auto _ : state) {
-        benchmark::DoNotOptimize(rm::runRegMutex(p, config).stats);
+        benchmark::DoNotOptimize(rm::runPolicy("regmutex", p, config).stats());
     }
 }
 BENCHMARK(BM_TimingSimulatorRegMutex)->Unit(benchmark::kMillisecond);
@@ -154,7 +155,8 @@ BM_TimingSimulatorSkipAheadOff(benchmark::State &state)
     const rm::GpuConfig config = rm::gtx480Config();
     rm::Sm::setSkipAhead(false);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(rm::runBaseline(p, config).cycles);
+        benchmark::DoNotOptimize(
+            rm::runPolicy("baseline", p, config).stats().cycles);
     }
     rm::Sm::setSkipAhead(true);
 }

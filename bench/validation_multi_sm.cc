@@ -58,8 +58,9 @@ main(int argc, char **argv)
     for (const auto &name : {"BFS", "ParticleFilter", "SAD"}) {
         const Program p = buildWorkload(name);
 
-        const double one_sm = cycleReduction(
-            runBaseline(p, config), runRegMutex(p, config).stats);
+        const double one_sm =
+            cycleReduction(runPolicy("baseline", p, config).stats(),
+                           runPolicy("regmutex", p, config).stats());
 
         const PolicyRun base = runPolicy("baseline", p, machine, full_run);
         const PolicyRun rmx = runPolicy("regmutex", p, machine, full_run);

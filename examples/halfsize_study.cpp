@@ -24,7 +24,7 @@ main(int argc, char **argv)
     const Program p = buildWorkload(name);
 
     const GpuConfig full = gtx480Config();
-    const SimStats reference = runBaseline(p, full);
+    const SimStats reference = runPolicy("baseline", p, full).stats();
 
     Table table({"RF size (KB)", "base occ.", "base slowdown",
                  "rmx occ.", "rmx slowdown"});
@@ -32,14 +32,14 @@ main(int argc, char **argv)
         GpuConfig config = full;
         config.registersPerSm = kb * 1024 / 4;  // 32-bit registers
 
-        const SimStats base = runBaseline(p, config);
-        const RegMutexRun rmx = runRegMutex(p, config);
+        const SimStats base = runPolicy("baseline", p, config).stats();
+        const PolicyRun rmx = runPolicy("regmutex", p, config);
 
         Row row;
         row << kb << percent(base.theoreticalOccupancy)
             << percent(-cycleReduction(reference, base))
-            << percent(rmx.stats.theoreticalOccupancy)
-            << percent(-cycleReduction(reference, rmx.stats));
+            << percent(rmx.stats().theoreticalOccupancy)
+            << percent(-cycleReduction(reference, rmx.stats()));
         table.addRow(row.take());
     }
 

@@ -38,20 +38,21 @@ main()
         };
         const Program p = buildKernel(spec);
 
-        const SimStats base = runBaseline(p, config);
-        const RegMutexRun rmx = runRegMutex(p, config);
+        const SimStats base = runPolicy("baseline", p, config).stats();
+        const PolicyRun rmx = runPolicy("regmutex", p, config);
+        const CompileResult &compiled = *rmx.compile.compile;
 
         Row row;
         row << regs << percent(base.theoreticalOccupancy)
-            << percent(rmx.stats.theoreticalOccupancy);
-        if (rmx.compile.enabled()) {
-            row << rmx.compile.selection.bs << rmx.compile.selection.es;
+            << percent(rmx.stats().theoreticalOccupancy);
+        if (compiled.enabled()) {
+            row << compiled.selection.bs << compiled.selection.es;
         } else {
             row << "-" << "-";
         }
         row << static_cast<unsigned long long>(base.cycles)
-            << static_cast<unsigned long long>(rmx.stats.cycles)
-            << percent(cycleReduction(base, rmx.stats));
+            << static_cast<unsigned long long>(rmx.stats().cycles)
+            << percent(cycleReduction(base, rmx.stats()));
         table.addRow(row.take());
     }
 

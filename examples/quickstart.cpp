@@ -34,16 +34,17 @@ main()
 
     const GpuConfig config = gtx480Config();
 
-    const SimStats base = runBaseline(program, config);
-    const RegMutexRun rmx = runRegMutex(program, config);
+    const SimStats base = runPolicy("baseline", program, config).stats();
+    const PolicyRun rmx = runPolicy("regmutex", program, config);
+    const CompileResult &compiled = *rmx.compile.compile;
 
     std::cout << "kernel: " << spec.name << " (" << program.info.numRegs
               << " regs/thread, " << program.size() << " instructions)\n";
-    if (rmx.compile.enabled()) {
+    if (compiled.enabled()) {
         std::cout << "RegMutex split: |Bs| = "
-                  << rmx.compile.selection.bs << ", |Es| = "
-                  << rmx.compile.selection.es << ", SRP sections = "
-                  << rmx.compile.selection.srpSections << "\n";
+                  << compiled.selection.bs << ", |Es| = "
+                  << compiled.selection.es << ", SRP sections = "
+                  << compiled.selection.srpSections << "\n";
     } else {
         std::cout << "RegMutex: not applied (no occupancy benefit)\n";
     }
@@ -59,8 +60,8 @@ main()
         table.addRow(row.take());
     };
     add(base);
-    add(rmx.stats);
+    add(rmx.stats());
     std::cout << "\n" << table.toText() << "\ncycle reduction: "
-              << percent(cycleReduction(base, rmx.stats)) << "\n";
+              << percent(cycleReduction(base, rmx.stats())) << "\n";
     return 0;
 }

@@ -108,17 +108,4 @@ JsonlCheckpoint::record(const std::string &key, const SimStats &stats)
             "' failed");
 }
 
-void
-JsonlCheckpoint::sync()
-{
-    const std::lock_guard<std::mutex> lock(guard);
-    if (path.empty() || appends == 0)
-        return;
-    const int fd = ::open(path.c_str(), O_WRONLY);
-    fatalIf(fd < 0, "checkpoint: cannot open '", path, "' for sync");
-    const bool ok = ::fsync(fd) == 0;
-    ::close(fd);
-    fatalIf(!ok, "checkpoint: fsync of '", path, "' failed");
-}
-
 } // namespace rm

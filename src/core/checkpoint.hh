@@ -3,9 +3,8 @@
 
 /**
  * @file
- * Durable JSONL result store shared by the sweep runner's checkpoint
- * (core/sweep.hh) and the serve daemon's result journal (serve/). One
- * record per line:
+ * Durable JSONL result store behind the sweep runner's checkpoint
+ * (core/sweep.hh). One record per line:
  *
  *     {"key":"<sweepCaseKey>","stats":{...statsToJson...}}
  *
@@ -13,10 +12,10 @@
  * (or a kill between records) sees complete lines only; the loader
  * tolerates exactly one torn trailing line from a run killed
  * mid-append. With fsyncEvery > 0 every Nth append is additionally
- * fsync'd, so acknowledged records survive a host crash — not just a
- * process kill. fsyncEvery = 1 (the serve journal's default) makes
- * every acknowledgement durable; 0 keeps the seed behaviour (flush to
- * the kernel, no fsync) for throwaway sweep checkpoints.
+ * fsync'd, so recorded cells survive a host crash — not just a
+ * process kill. fsyncEvery = 1 makes every record durable; 0 keeps the
+ * seed behaviour (flush to the kernel, no fsync) for throwaway sweep
+ * checkpoints.
  */
 
 #include <cstdint>
@@ -56,10 +55,6 @@ class JsonlCheckpoint
      * loudly instead of silently dropping acknowledged work.
      */
     void record(const std::string &key, const SimStats &stats);
-
-    /** fsync the file now (drain/shutdown barrier). No-op when
-     *  disabled or nothing was ever written. */
-    void sync();
 
   private:
     std::string path;

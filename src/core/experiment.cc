@@ -2,20 +2,6 @@
 
 namespace rm {
 
-namespace {
-
-/** run* convenience: representative mode with sinks on the one SM. */
-RunOptions
-representative(const CompileOptions &compile, const ObsSinks &obs)
-{
-    RunOptions options;
-    options.compile = compile;
-    options.gpu.obs = obs;
-    return options;
-}
-
-} // namespace
-
 PolicyRun
 runPolicy(const PolicySpec &policy, const Program &program,
           const GpuConfig &config, const RunOptions &options)
@@ -34,58 +20,6 @@ runPolicy(const std::string &policy, const Program &program,
 {
     return runPolicy(PolicyRegistry::instance().at(policy), program,
                      config, options);
-}
-
-SimStats
-runBaseline(const Program &program, const GpuConfig &config,
-            const ObsSinks &obs)
-{
-    return runPolicy("baseline", program, config,
-                     representative({}, obs))
-        .result.aggregate;
-}
-
-RegMutexRun
-runRegMutex(const Program &program, const GpuConfig &config,
-            const CompileOptions &options, const ObsSinks &obs)
-{
-    PolicyRun run = runPolicy("regmutex", program, config,
-                              representative(options, obs));
-    return RegMutexRun{std::move(*run.compile.compile),
-                       std::move(run.result.aggregate)};
-}
-
-RegMutexRun
-runPaired(const Program &program, const GpuConfig &config,
-          const CompileOptions &options, const ObsSinks &obs)
-{
-    PolicyRun run = runPolicy("paired", program, config,
-                              representative(options, obs));
-    return RegMutexRun{std::move(*run.compile.compile),
-                       std::move(run.result.aggregate)};
-}
-
-SimStats
-runOwf(const Program &program, const GpuConfig &config,
-       const CompileOptions &options, const ObsSinks &obs)
-{
-    return runPolicy("owf", program, config, representative(options, obs))
-        .result.aggregate;
-}
-
-SimStats
-runRfv(const Program &program, const GpuConfig &config, double provisioning,
-       const ObsSinks &obs)
-{
-    // The registered "rfv" uses the paper's 0.25; other provisioning
-    // levels run through an ad-hoc spec so callers can still sweep it.
-    if (provisioning == 0.25) {
-        return runPolicy("rfv", program, config, representative({}, obs))
-            .result.aggregate;
-    }
-    return runPolicy(makeRfvPolicy(provisioning), program, config,
-                     representative({}, obs))
-        .result.aggregate;
 }
 
 } // namespace rm

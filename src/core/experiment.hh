@@ -3,16 +3,14 @@
 
 /**
  * @file
- * Public facade of the RegMutex library: compile-and-simulate entry
- * points driven by the policy registry (core/policy.hh) and the
- * multi-SM Gpu engine (sim/gpu.hh). runPolicy() is the general entry
- * point — any registered policy, representative or full-machine mode,
- * per-SM breakdowns; the named run* helpers keep the paper benchmarks
- * one-liners:
+ * Public entry point of the RegMutex library: runPolicy() compiles a
+ * kernel for a policy from the registry (core/policy.hh) and simulates
+ * it on the multi-SM Gpu engine (sim/gpu.hh) — any registered policy,
+ * representative or full-machine mode, per-SM breakdowns:
  *
- *     auto base = rm::runBaseline(program, config);
- *     auto rmx  = rm::runRegMutex(program, config);
- *     std::cout << rm::cycleReduction(base, rmx.stats);
+ *     auto base = rm::runPolicy("baseline", program, config);
+ *     auto rmx  = rm::runPolicy("regmutex", program, config);
+ *     std::cout << rm::cycleReduction(base.stats(), rmx.stats());
  */
 
 #include <string>
@@ -57,52 +55,6 @@ PolicyRun runPolicy(const std::string &policy, const Program &program,
 PolicyRun runPolicy(const PolicySpec &policy, const Program &program,
                     const GpuConfig &config,
                     const RunOptions &options = {});
-
-/** Result of a RegMutex (or paired) compile-and-run. */
-struct RegMutexRun
-{
-    CompileResult compile;
-    SimStats stats;
-};
-
-/**
- * Simulate under the baseline static allocation (paper Fig. 6a).
- * Every runner takes optional observability sinks (issue trace,
- * metrics registry, interval sampler — see sim/gpu.hh and src/obs/)
- * threaded into the simulation it drives. The run* helpers simulate
- * the representative SM (the seed model); use runPolicy() for
- * full-machine runs.
- */
-SimStats runBaseline(const Program &program, const GpuConfig &config,
-                     const ObsSinks &obs = {});
-
-/**
- * Compile with the RegMutex pipeline and simulate under the pooled
- * allocator, with the Fig. 6b operand mapping verified on every
- * access. Falls back to baseline behaviour when the heuristic leaves
- * the kernel untouched.
- */
-RegMutexRun runRegMutex(const Program &program, const GpuConfig &config,
-                        const CompileOptions &options = {},
-                        const ObsSinks &obs = {});
-
-/** Same, under the paired-warps specialization (paper Sec. III-C). */
-RegMutexRun runPaired(const Program &program, const GpuConfig &config,
-                      const CompileOptions &options = {},
-                      const ObsSinks &obs = {});
-
-/**
- * Jatala et al. resource sharing with Owner-Warp-First scheduling: the
- * RegMutex-compacted register layout with directives stripped, under
- * the pairwise one-shot lock.
- */
-SimStats runOwf(const Program &program, const GpuConfig &config,
-                const CompileOptions &options = {},
-                const ObsSinks &obs = {});
-
-/** Jeon et al. Register File Virtualization on the original program. */
-SimStats runRfv(const Program &program, const GpuConfig &config,
-                double provisioning = 0.25, const ObsSinks &obs = {});
 
 } // namespace rm
 

@@ -6,7 +6,7 @@
  * Policy registry: every register-allocation policy the repository
  * evaluates is described by one PolicySpec — how to compile a kernel
  * for it and how to build one SM's allocator instance — and looked up
- * by name. The facade runners (core/experiment.hh), the sweep runner
+ * by name. runPolicy() (core/experiment.hh), the sweep runner
  * (core/sweep.hh), the benches and rm-inspect all draw policies from
  * here instead of hand-rolling per-policy compiler/allocator stacks.
  *

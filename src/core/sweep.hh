@@ -7,8 +7,7 @@
  * of simulations on the shared thread pool with deterministic seeding
  * and deterministic result ordering. This is the engine behind the
  * figure/table benches — each bench declares its grid, calls
- * runSweep(), and formats the results — and the building block for any
- * future batch/sharding layer.
+ * runSweep(), and formats the results.
  *
  *     std::vector<rm::SweepCase> grid = rm::sweepGrid(
  *         rm::occupancyLimitedSet(), {"baseline", "regmutex"},
@@ -118,9 +117,8 @@ struct SweepOptions
      * fsync the checkpoint file after every Nth appended record (0,
      * the default, keeps the seed behaviour: flushed to the kernel but
      * not fsync'd, so a *host* crash — not just a killed process — can
-     * lose trailing records). The serve daemon journals with
-     * fsyncEvery = 1 so every acknowledged cell is durable; sweeps
-     * that want the same guarantee opt in via --fsync-every.
+     * lose trailing records). fsyncEvery = 1 (--fsync-every 1) makes
+     * every recorded cell durable.
      */
     int fsyncEvery = 0;
     /**
@@ -130,10 +128,9 @@ struct SweepOptions
      * sweep with the same directory resumes the cell from that file
      * instead of restarting it (the file is removed once the cell
      * completes). Works together with gpu.control: bound a sweep with
-     * a cycle budget / wall deadline / cancellation token and the
-     * interrupted cells carry their progress into the next run. A
-     * stale or mismatched snapshot is warned about, deleted, and the
-     * cell restarts fresh.
+     * a cycle budget / wall deadline and the interrupted cells carry
+     * their progress into the next run. A stale or mismatched snapshot
+     * is warned about, deleted, and the cell restarts fresh.
      */
     std::string snapshotDir;
 };

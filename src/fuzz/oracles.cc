@@ -5,13 +5,11 @@
 #include <utility>
 
 #include "common/errors.hh"
-#include "common/rng.hh"
 #include "core/experiment.hh"
 #include "core/policy.hh"
 #include "isa/asm_parser.hh"
 #include "obs/export.hh"
 #include "obs/json.hh"
-#include "serve/protocol.hh"
 #include "sim/diagnosis.hh"
 #include "sim/sanitizer.hh"
 
@@ -388,7 +386,7 @@ codecOracle(CaseLab &lab, std::vector<OracleFinding> &findings)
         }
     }
 
-    // Stats JSON: the sweep checkpoint / serve cache depend on
+    // Stats JSON: the sweep checkpoint depends on
     // statsFromJson(statsToJson(s)) == s. Hang forensics are
     // deliberately not serialized, so compare without them.
     {
@@ -434,55 +432,6 @@ codecOracle(CaseLab &lab, std::vector<OracleFinding> &findings)
     };
     checkAsm(lab.program(), "source");
     checkAsm(lab.compiledProgram(fc.policy), "compiled");
-
-    // Serve job lines: a well-formed request round-trips, and seeded
-    // bit-flips/truncations of the encoded line either decode or throw
-    // a typed FatalError (JsonSchemaError / parse error) — any other
-    // exception type is the crash class this oracle exists to catch.
-    {
-        JobRequest request;
-        request.id = "fuzz";
-        request.client = "rm-fuzz";
-        request.workload = fc.kernel.name;
-        request.policy = fc.policy;
-        request.arch = fc.arch;
-        request.priority = 1;
-        request.maxCycles = fc.snapshotCycle;
-        const std::string line = encodeJobRequest(request);
-        try {
-            const JobRequest decoded = decodeJobRequest(parseJson(line));
-            if (encodeJobRequest(decoded) != line)
-                report(findings, "codec", "codec:job-roundtrip",
-                       describeCase(fc) +
-                           ": encode->decode->encode differs for job lines");
-        } catch (const FatalError &e) {
-            report(findings, "codec", "codec:job-reject",
-                   describeCase(fc) +
-                       ": own job line failed to decode: " + e.what());
-        }
-        Rng rng(fc.seed ^ 0x6a6f626c696e65ULL);  // "jobline"
-        for (int i = 0; i < 48; ++i) {
-            std::string mutated = line;
-            const auto pos = static_cast<std::size_t>(rng.uniformInt(
-                0, static_cast<std::int64_t>(mutated.size()) - 1));
-            if (rng.chance(0.5))
-                mutated[pos] ^=
-                    static_cast<char>(1 << rng.uniformInt(0, 7));
-            else
-                mutated.resize(pos);
-            try {
-                decodeJobRequest(parseJson(mutated));
-            } catch (const FatalError &) {
-                // Typed rejection: exactly the contract.
-            } catch (const std::exception &e) {
-                report(findings, "codec", "codec:job-decode-crash",
-                       describeCase(fc) + ": mutated job line threw " +
-                           std::string(e.what()) +
-                           " (not a FatalError) at mutation " +
-                           std::to_string(i));
-            }
-        }
-    }
 
     // The repro codec itself: a fuzzer whose repro files don't
     // round-trip can't reproduce its own findings.
@@ -669,7 +618,7 @@ fuzzOracles()
          "audit is invisible on healthy runs and catches corruption",
          sanitizeOracle},
         {"codec",
-         "snapshot/stats/asm/job/repro codecs round-trip or reject typed",
+         "snapshot/stats/asm/repro codecs round-trip or reject typed",
          codecOracle},
     };
     return oracles;

@@ -32,9 +32,7 @@
  *    and catches an injected state corruption within ~one epoch of it
  *    landing.
  *  - "codec": every serialization boundary round-trips — snapshot
- *    bytes, stats JSON, asm emit->parse, the fuzz repro JSON itself —
- *    and the serve decodeJobRequest survives bit-flipped/truncated job
- *    lines with a typed error, never a crash.
+ *    bytes, stats JSON, asm emit->parse, the fuzz repro JSON itself.
  *
  * The PlantedBug hook seeds one known bug per oracle (stats drift,
  * thread skew, resume skew, a suppressed sanitizer, codec damage) so

@@ -64,9 +64,9 @@ namespace {
 
 // Decoders use the typed accessors from obs/json.hh: missing members
 // keep their defaults so older documents load, but a wrong-typed
-// member throws JsonSchemaError — the daemon feeds these decoders
-// bytes from the network, and silently default-constructing from
-// hostile input would poison the result cache.
+// member throws JsonSchemaError — the sweep checkpoint feeds these
+// decoders bytes from disk, and silently default-constructing from
+// damaged input would poison the restored cells.
 
 /** Elements of an int array member; wrong-typed member or element throws. */
 std::vector<int>

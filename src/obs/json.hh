@@ -90,9 +90,9 @@ struct JsonValue
 
 /**
  * Parse @p text; throws FatalError on malformed input. Containers may
- * nest at most @p max_depth deep — hostile deeply-nested garbage (the
- * daemon parses bytes straight off the network) fails with a parse
- * error instead of exhausting the stack.
+ * nest at most @p max_depth deep — hostile deeply-nested garbage (a
+ * damaged checkpoint or repro file) fails with a parse error instead
+ * of exhausting the stack.
  */
 JsonValue parseJson(std::string_view text, int max_depth = 128);
 
@@ -111,7 +111,7 @@ class JsonSchemaError : public FatalError
 
 /**
  * Typed member accessors with the decoder compatibility contract the
- * artifact loaders (statsFromJson, the serve protocol, ...) share: a
+ * artifact loaders (statsFromJson, the fuzz case codec, ...) share: a
  * *missing* member returns @p fallback (forward compatibility — older
  * producers), but a member that is *present with the wrong JSON type*
  * throws JsonSchemaError naming the key instead of silently decoding a

@@ -295,8 +295,7 @@ Gpu::run()
                 continue;
             all_done = false;
             const PreemptReason r = cell.outcome.reason;
-            if (r == PreemptReason::Cancelled ||
-                r == PreemptReason::WallDeadline) {
+            if (r == PreemptReason::WallDeadline) {
                 global_stop = true;
                 reason = r;
             }

@@ -120,12 +120,11 @@ struct GpuOptions
      */
     std::function<ObsSinks(int smId)> sinksForSm;
     /**
-     * Run budgets and cooperative cancellation (sim/snapshot.hh).
-     * maxCycles bounds every SM's simulated clock; the cancellation
-     * token and wall deadline are checked at epoch boundaries;
-     * control.sanitize enables the per-epoch register-accounting
-     * audit. A default-constructed control runs every SM to
-     * completion in one leg.
+     * Run budgets (sim/snapshot.hh). maxCycles bounds every SM's
+     * simulated clock; the wall deadline is checked at epoch
+     * boundaries; control.sanitize enables the per-epoch
+     * register-accounting audit. A default-constructed control runs
+     * every SM to completion in one leg.
      */
     RunControl control;
     /**

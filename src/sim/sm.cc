@@ -851,18 +851,13 @@ Sm::runControlled(const RunControl &control)
 
     while (stats.ctasCompleted < static_cast<std::uint64_t>(ctasToRun)) {
         // The cycle budget is checked every cycle so a snapshot can be
-        // captured at an exact point; the cancellation token, the wall
-        // deadline and the sanitizer only run at epoch boundaries.
+        // captured at an exact point; the wall deadline and the
+        // sanitizer only run at epoch boundaries.
         if (control.maxCycles > 0 && cycle >= control.maxCycles) {
             finishStats();
             return SmRunOutcome{true, PreemptReason::CycleLimit};
         }
         if (epoch_work && cycle > 0 && cycle % control.epochCycles == 0) {
-            if (control.cancel &&
-                control.cancel->load(std::memory_order_relaxed)) {
-                finishStats();
-                return SmRunOutcome{true, PreemptReason::Cancelled};
-            }
             if (control.hasWallDeadline &&
                 std::chrono::steady_clock::now() >= control.wallDeadline) {
                 finishStats();

@@ -84,12 +84,12 @@ class Sm
 
     /**
      * Simulate under @p control: stop early with a Preempted outcome
-     * when the cycle budget, the cancellation token or the wall
-     * deadline fires, and (when control.sanitize) audit register
-     * accounting every epoch — throwing SanitizerError on the first
-     * violation. Callable repeatedly: a preempted Sm resumes exactly
-     * where it stopped. With a default-constructed control it runs to
-     * completion (or declared deadlock — see SimStats::deadlocked/hang)
+     * when the cycle budget or the wall deadline fires, and (when
+     * control.sanitize) audit register accounting every epoch —
+     * throwing SanitizerError on the first violation. Callable
+     * repeatedly: a preempted Sm resumes exactly where it stopped.
+     * With a default-constructed control it runs to completion (or
+     * declared deadlock — see SimStats::deadlocked/hang)
      * and pays no per-cycle overhead beyond one branch; it throws
      * SimulationError with an attached HangDiagnosis when the watchdog
      * expires.

@@ -192,8 +192,6 @@ preemptReasonName(PreemptReason reason)
         return "none";
       case PreemptReason::CycleLimit:
         return "cycle-limit";
-      case PreemptReason::Cancelled:
-        return "cancelled";
       case PreemptReason::WallDeadline:
         return "wall-deadline";
     }
@@ -268,7 +266,10 @@ loadStats(SnapshotReader &r)
     for (const auto counter : kSummedCounters)
         s.*counter = r.u64();
     s.deadlocked = r.boolean();
-    s.deadlockCause = static_cast<DeadlockCause>(r.u8());
+    const std::uint8_t cause = r.u8();
+    if (cause > static_cast<std::uint8_t>(DeadlockCause::Barrier))
+        throw SnapshotError("snapshot: deadlock cause out of range");
+    s.deadlockCause = static_cast<DeadlockCause>(cause);
     return s;
 }
 
@@ -338,12 +339,12 @@ void
 writeSnapshotFile(const std::string &path, const GpuSnapshot &snap)
 {
     const std::string payload = snap.serialize();
-    // Unique temp per writer: two sweeps (or a sweep and the serve
-    // daemon) sharing a snapshot dir may snapshot the same cell
-    // concurrently. A shared "<path>.tmp" would let one writer rename
-    // the other's half-written file into place; pid + a process-wide
-    // counter keeps every in-flight temp distinct, and the final
-    // rename stays the single atomic commit point.
+    // Unique temp per writer: two sweeps sharing a snapshot dir may
+    // snapshot the same cell concurrently. A shared "<path>.tmp" would
+    // let one writer rename the other's half-written file into place;
+    // pid + a process-wide counter keeps every in-flight temp
+    // distinct, and the final rename stays the single atomic commit
+    // point.
     static std::atomic<std::uint64_t> temp_serial{0};
     std::ostringstream suffix;
     suffix << ".tmp." << ::getpid() << '.'

@@ -5,8 +5,8 @@
  * @file
  * Run durability: versioned, bit-exact serialization of complete
  * engine state plus the run-control knobs (cycle budgets, wall-clock
- * deadlines, cooperative cancellation) that end a run with a Preempted
- * status instead of throwing work away.
+ * deadlines) that end a run with a Preempted status instead of
+ * throwing work away.
  *
  * The format invariant is *restore-then-run ≡ uninterrupted run*: a
  * simulation restored from a snapshot produces SimStats bit-identical
@@ -18,7 +18,6 @@
  * policy.
  */
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -107,7 +106,6 @@ class SnapshotReader
 enum class PreemptReason : std::uint8_t {
     None,          ///< not preempted (ran to completion)
     CycleLimit,    ///< the simulated-cycle budget was reached
-    Cancelled,     ///< the cooperative cancellation token was set
     WallDeadline,  ///< the wall-clock deadline passed
 };
 
@@ -120,33 +118,28 @@ const char *preemptReasonName(PreemptReason reason);
  * (an unbudgeted Gpu::run hands every SM leg this default).
  *
  * maxCycles is checked every cycle (so a snapshot can be taken at an
- * exact cycle); the cancellation token, the wall deadline and the
- * sanitizer run at epoch boundaries only (cycle % epochCycles == 0) to
- * keep them off the hot path.
+ * exact cycle); the wall deadline and the sanitizer run at epoch
+ * boundaries only (cycle % epochCycles == 0) to keep them off the hot
+ * path.
  */
 struct RunControl
 {
     /** Absolute simulated-cycle bound (0: unlimited). */
     std::uint64_t maxCycles = 0;
-    /** Cooperative cancellation token; null disables. */
-    const std::atomic<bool> *cancel = nullptr;
     /** Wall-clock deadline; hasWallDeadline gates it. */
     bool hasWallDeadline = false;
     std::chrono::steady_clock::time_point wallDeadline{};
-    /** Epoch length for the cancel/deadline/sanitizer checks. */
+    /** Epoch length for the deadline/sanitizer checks. */
     std::uint64_t epochCycles = 1024;
     /** Audit register-accounting invariants every epoch. */
     bool sanitize = false;
 
     bool anyLimit() const
     {
-        return maxCycles > 0 || cancel != nullptr || hasWallDeadline;
+        return maxCycles > 0 || hasWallDeadline;
     }
 
-    bool epochWork() const
-    {
-        return cancel != nullptr || hasWallDeadline || sanitize;
-    }
+    bool epochWork() const { return hasWallDeadline || sanitize; }
 
     /** This control with a deadline @p seconds of wall time from now. */
     RunControl withWallDeadlineSeconds(double seconds) const;

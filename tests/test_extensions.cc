@@ -82,11 +82,11 @@ TEST(Energy, HalfFileWithRegMutexSavesEnergy)
     const GpuConfig half = halfRegisterFile(full);
     const Program p = buildWorkload("SPMV");
 
-    const SimStats base_full = runBaseline(p, full);
-    const RegMutexRun rmx_half = runRegMutex(p, half);
+    const SimStats base_full = runPolicy("baseline", p, full).stats();
+    const PolicyRun rmx_half = runPolicy("regmutex", p, half);
 
     const EnergyReport e_full = estimateEnergy(full, base_full);
-    const EnergyReport e_half = estimateEnergy(half, rmx_half.stats);
+    const EnergyReport e_half = estimateEnergy(half, rmx_half.stats());
     EXPECT_LT(e_half.leakageEnergy, e_full.leakageEnergy);
     EXPECT_LT(e_half.total(), e_full.total());
     EXPECT_GT(e_half.directiveEnergy, 0.0);
@@ -96,7 +96,7 @@ TEST(Energy, DirectiveOverheadCounted)
 {
     const GpuConfig config = gtx480Config();
     const Program p = buildWorkload("BFS");
-    const SimStats base = runBaseline(p, config);
+    const SimStats base = runPolicy("baseline", p, config).stats();
     const EnergyReport report = estimateEnergy(config, base);
     EXPECT_DOUBLE_EQ(report.directiveEnergy, 0.0);
     EXPECT_GT(report.dynamicEnergy, 0.0);

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "common/errors.hh"
-#include "common/rng.hh"
 #include "core/checkpoint.hh"
 #include "fuzz/gen.hh"
 #include "isa/asm_parser.hh"
@@ -31,7 +30,6 @@
 #include "fuzz/oracles.hh"
 #include "fuzz/triage.hh"
 #include "obs/json.hh"
-#include "serve/protocol.hh"
 
 namespace rm {
 namespace {
@@ -322,44 +320,6 @@ TEST(FuzzCorpus, CommittedReprosReplayClean)
     }
 }
 #endif
-
-// --------------------------------------- serve codec under bit damage
-
-TEST(FuzzServeCodec, DecodeJobSurvivesBitDamage)
-{
-    JobRequest request;
-    request.id = "fuzz-1";
-    request.client = "unit";
-    request.workload = "BFS";
-    request.policy = "regmutex";
-    request.priority = 2;
-    request.maxCycles = 100000;
-    const std::string line = encodeJobRequest(request);
-
-    Rng rng(0x6a6f62ULL);
-    int rejected = 0;
-    for (int i = 0; i < 300; ++i) {
-        std::string damaged = line;
-        if (rng.chance(0.5) && damaged.size() > 2) {
-            damaged.resize(rng.uniformInt(1, damaged.size() - 1));
-        } else {
-            const std::size_t at =
-                rng.uniformInt(0, damaged.size() - 1);
-            damaged[at] = static_cast<char>(
-                damaged[at] ^ (1 << rng.uniformInt(0, 7)));
-        }
-        try {
-            const JobRequest back =
-                decodeJobRequest(parseJson(damaged));
-            (void)back; // survivable mutation — fine
-        } catch (const FatalError &) {
-            ++rejected; // typed rejection — the contract
-        }
-        // Anything else (std::bad_alloc aside) escapes and fails the
-        // test: hostile job lines must never crash the daemon.
-    }
-    EXPECT_GT(rejected, 0);
-}
 
 // -------------------------- JsonlCheckpoint truncation sweep (crash
 // safety satellite: a journal cut at any byte must reopen cleanly)

@@ -23,22 +23,22 @@ TEST_P(OccupancyLimited, RegMutexCompletesAndRaisesOccupancy)
     const Program p = buildWorkload(GetParam());
     const GpuConfig config = gtx480Config();
 
-    const SimStats base = runBaseline(p, config);
-    const RegMutexRun rmx = runRegMutex(p, config);
+    const SimStats base = runPolicy("baseline", p, config).stats();
+    const PolicyRun rmx = runPolicy("regmutex", p, config);
 
     EXPECT_FALSE(base.deadlocked);
-    EXPECT_FALSE(rmx.stats.deadlocked);
-    EXPECT_EQ(base.ctasCompleted, rmx.stats.ctasCompleted);
-    EXPECT_GT(rmx.stats.theoreticalOccupancy,
+    EXPECT_FALSE(rmx.stats().deadlocked);
+    EXPECT_EQ(base.ctasCompleted, rmx.stats().ctasCompleted);
+    EXPECT_GT(rmx.stats().theoreticalOccupancy,
               base.theoreticalOccupancy);
 
     // Acquire bookkeeping: successes never exceed attempts; every
     // successful acquire is eventually released (at a release
     // directive or warp exit).
-    EXPECT_LE(rmx.stats.acquireSuccesses, rmx.stats.acquireAttempts);
-    EXPECT_GT(rmx.stats.acquireAttempts, 0u);
-    EXPECT_GT(rmx.stats.releases, 0u);
-    EXPECT_GT(rmx.stats.extRegAccesses, 0u);
+    EXPECT_LE(rmx.stats().acquireSuccesses, rmx.stats().acquireAttempts);
+    EXPECT_GT(rmx.stats().acquireAttempts, 0u);
+    EXPECT_GT(rmx.stats().releases, 0u);
+    EXPECT_GT(rmx.stats().extRegAccesses, 0u);
 }
 
 TEST_P(OccupancyLimited, AllPoliciesAgreeOnWorkDone)
@@ -46,17 +46,17 @@ TEST_P(OccupancyLimited, AllPoliciesAgreeOnWorkDone)
     const Program p = buildWorkload(GetParam());
     const GpuConfig config = gtx480Config();
 
-    const SimStats base = runBaseline(p, config);
-    const SimStats owf = runOwf(p, config);
-    const SimStats rfv = runRfv(p, config);
-    const RegMutexRun paired = runPaired(p, config);
+    const SimStats base = runPolicy("baseline", p, config).stats();
+    const SimStats owf = runPolicy("owf", p, config).stats();
+    const SimStats rfv = runPolicy("rfv", p, config).stats();
+    const PolicyRun paired = runPolicy("paired", p, config);
 
     EXPECT_FALSE(owf.deadlocked);
     EXPECT_FALSE(rfv.deadlocked);
-    EXPECT_FALSE(paired.stats.deadlocked);
+    EXPECT_FALSE(paired.stats().deadlocked);
     EXPECT_EQ(owf.ctasCompleted, base.ctasCompleted);
     EXPECT_EQ(rfv.ctasCompleted, base.ctasCompleted);
-    EXPECT_EQ(paired.stats.ctasCompleted, base.ctasCompleted);
+    EXPECT_EQ(paired.stats().ctasCompleted, base.ctasCompleted);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -80,16 +80,16 @@ TEST_P(HalfRfWorkload, RegMutexCushionsTheSmallRegisterFile)
     const GpuConfig full = gtx480Config();
     const GpuConfig half = halfRegisterFile(full);
 
-    const SimStats base_full = runBaseline(p, full);
-    const SimStats base_half = runBaseline(p, half);
-    const RegMutexRun rmx_half = runRegMutex(p, half);
+    const SimStats base_full = runPolicy("baseline", p, full).stats();
+    const SimStats base_half = runPolicy("baseline", p, half).stats();
+    const PolicyRun rmx_half = runPolicy("regmutex", p, half);
 
     EXPECT_FALSE(base_half.deadlocked);
-    EXPECT_FALSE(rmx_half.stats.deadlocked);
+    EXPECT_FALSE(rmx_half.stats().deadlocked);
     // Halving the register file cannot help the baseline.
     EXPECT_GE(base_half.cycles, base_full.cycles);
     // RegMutex recovers occupancy lost to the smaller file.
-    EXPECT_GE(rmx_half.stats.theoreticalOccupancy,
+    EXPECT_GE(rmx_half.stats().theoreticalOccupancy,
               base_half.theoreticalOccupancy);
 }
 
@@ -110,9 +110,9 @@ TEST(IntegrationAverages, Fig7RegMutexReducesCyclesOnAverage)
     double best = 0.0;
     for (const auto &name : occupancyLimitedSet()) {
         const Program p = buildWorkload(name);
-        const SimStats base = runBaseline(p, gtx480Config());
-        const RegMutexRun rmx = runRegMutex(p, gtx480Config());
-        const double reduction = cycleReduction(base, rmx.stats);
+        const SimStats base = runPolicy("baseline", p, gtx480Config()).stats();
+        const PolicyRun rmx = runPolicy("regmutex", p, gtx480Config());
+        const double reduction = cycleReduction(base, rmx.stats());
         total_reduction += reduction;
         best = std::max(best, reduction);
     }
@@ -132,11 +132,11 @@ TEST(IntegrationAverages, Fig8RegMutexSoftensHalfRfOnAverage)
     double rmx_increase = 0.0;
     for (const auto &name : halfRfSet()) {
         const Program p = buildWorkload(name);
-        const SimStats base_full = runBaseline(p, full);
-        const SimStats base_half = runBaseline(p, half);
-        const RegMutexRun rmx_half = runRegMutex(p, half);
+        const SimStats base_full = runPolicy("baseline", p, full).stats();
+        const SimStats base_half = runPolicy("baseline", p, half).stats();
+        const PolicyRun rmx_half = runPolicy("regmutex", p, half);
         base_increase += -cycleReduction(base_full, base_half);
-        rmx_increase += -cycleReduction(base_full, rmx_half.stats);
+        rmx_increase += -cycleReduction(base_full, rmx_half.stats());
     }
     base_increase /= 8.0;
     rmx_increase /= 8.0;
@@ -154,11 +154,11 @@ TEST(IntegrationAverages, Fig9aOrderingHolds)
     double owf_total = 0.0, rfv_total = 0.0, rmx_total = 0.0;
     for (const auto &name : occupancyLimitedSet()) {
         const Program p = buildWorkload(name);
-        const SimStats base = runBaseline(p, config);
-        owf_total += cycleReduction(base, runOwf(p, config));
-        rfv_total += cycleReduction(base, runRfv(p, config));
+        const SimStats base = runPolicy("baseline", p, config).stats();
+        owf_total += cycleReduction(base, runPolicy("owf", p, config).stats());
+        rfv_total += cycleReduction(base, runPolicy("rfv", p, config).stats());
         rmx_total +=
-            cycleReduction(base, runRegMutex(p, config).stats);
+            cycleReduction(base, runPolicy("regmutex", p, config).stats());
     }
     const double owf = owf_total / 8.0;
     const double rfv = rfv_total / 8.0;
@@ -173,15 +173,15 @@ TEST(Integration, PollRetryAblationStillCompletes)
     GpuConfig config = gtx480Config();
     config.wakeOnRelease = false;
     const Program p = buildWorkload("BFS");
-    const RegMutexRun rmx = runRegMutex(p, config);
-    EXPECT_FALSE(rmx.stats.deadlocked);
+    const PolicyRun rmx = runPolicy("regmutex", p, config);
+    EXPECT_FALSE(rmx.stats().deadlocked);
     // Polling can only burn more failed acquire attempts than
     // wake-on-release does.
     GpuConfig wake = gtx480Config();
-    const RegMutexRun rmx_wake = runRegMutex(p, wake);
-    EXPECT_LE(rmx_wake.stats.acquireSuccessRate(), 1.0);
-    EXPECT_GE(rmx_wake.stats.acquireSuccessRate(),
-              rmx.stats.acquireSuccessRate());
+    const PolicyRun rmx_wake = runPolicy("regmutex", p, wake);
+    EXPECT_LE(rmx_wake.stats().acquireSuccessRate(), 1.0);
+    EXPECT_GE(rmx_wake.stats().acquireSuccessRate(),
+              rmx.stats().acquireSuccessRate());
 }
 
 TEST(Integration, LrrSchedulerAblationCompletes)
@@ -189,10 +189,10 @@ TEST(Integration, LrrSchedulerAblationCompletes)
     GpuConfig config = gtx480Config();
     config.schedPolicy = SchedPolicy::Lrr;
     const Program p = buildWorkload("SAD");
-    const SimStats base = runBaseline(p, config);
-    const RegMutexRun rmx = runRegMutex(p, config);
+    const SimStats base = runPolicy("baseline", p, config).stats();
+    const PolicyRun rmx = runPolicy("regmutex", p, config);
     EXPECT_FALSE(base.deadlocked);
-    EXPECT_FALSE(rmx.stats.deadlocked);
+    EXPECT_FALSE(rmx.stats().deadlocked);
 }
 
 } // namespace

@@ -32,14 +32,14 @@ class StatsInvariants : public ::testing::TestWithParam<Combo>
             half ? halfRegisterFile(gtx480Config()) : gtx480Config();
         const Program p = buildWorkload(name);
         if (policy == "baseline")
-            return runBaseline(p, config);
+            return runPolicy("baseline", p, config).stats();
         if (policy == "regmutex")
-            return runRegMutex(p, config).stats;
+            return runPolicy("regmutex", p, config).stats();
         if (policy == "paired")
-            return runPaired(p, config).stats;
+            return runPolicy("paired", p, config).stats();
         if (policy == "owf")
-            return runOwf(p, config);
-        return runRfv(p, config);
+            return runPolicy("owf", p, config).stats();
+        return runPolicy("rfv", p, config).stats();
     }
 
     GpuConfig

@@ -3,7 +3,7 @@
  * Coverage for remaining corners: grid sharing across SMs, the
  * cycleReduction helper, stats accessors, bank-conflict modeling,
  * interpreter trace capping, and the stripped/compiled program
- * relationships the facade relies on.
+ * relationships the built-in policies rely on.
  */
 
 #include <gtest/gtest.h>
@@ -80,11 +80,11 @@ TEST(BankConflicts, CountedWhenEnabled)
     b.exitKernel();
     Program p = b.finalize();
 
-    const SimStats with = runBaseline(p, config);
+    const SimStats with = runPolicy("baseline", p, config).stats();
     EXPECT_GE(with.bankConflicts, 10u);
 
     GpuConfig off = gtx480Config();
-    const SimStats without = runBaseline(p, off);
+    const SimStats without = runPolicy("baseline", p, off).stats();
     EXPECT_EQ(without.bankConflicts, 0u);
     EXPECT_GT(with.cycles, without.cycles);
 }
@@ -104,7 +104,8 @@ TEST(BankConflicts, DistinctBanksDoNotConflict)
         b.iadd(2, 0, 1);  // banks 0 and 1
     b.stGlobal(2, 2);
     b.exitKernel();
-    const SimStats stats = runBaseline(b.finalize(), config);
+    const SimStats stats =
+        runPolicy("baseline", b.finalize(), config).stats();
     EXPECT_EQ(stats.bankConflicts, 0u);
 }
 
@@ -119,19 +120,20 @@ TEST(Interpreter, TraceCapRespected)
 
 TEST(Facade, OwfRunsStrippedProgram)
 {
-    // runOwf must feed OWF a directive-free program; a directive
-    // reaching OwfAllocator::prepare is a fatal error, so a clean
-    // completion proves the stripping path.
-    const SimStats stats = runOwf(buildWorkload("BFS"), gtx480Config());
+    // The "owf" policy must feed OWF a directive-free program; a
+    // directive reaching OwfAllocator::prepare is a fatal error, so a
+    // clean completion proves the stripping path.
+    const SimStats stats =
+        runPolicy("owf", buildWorkload("BFS"), gtx480Config()).stats();
     EXPECT_FALSE(stats.deadlocked);
     EXPECT_EQ(stats.allocatorName, "owf");
 }
 
 TEST(Facade, PairedReportsItsName)
 {
-    const RegMutexRun run =
-        runPaired(buildWorkload("BFS"), gtx480Config());
-    EXPECT_EQ(run.stats.allocatorName, "regmutex-paired");
+    const PolicyRun run =
+        runPolicy("paired", buildWorkload("BFS"), gtx480Config());
+    EXPECT_EQ(run.stats().allocatorName, "regmutex-paired");
 }
 
 TEST(Edit, StripDirectivesIsFunctionalNoOp)
@@ -165,9 +167,9 @@ TEST(Workloads, GridCoversMultipleWavesUnderRegMutex)
                                      ? gtx480Config()
                                      : halfRegisterFile(gtx480Config());
         const Program p = buildKernel(entry.spec);
-        const RegMutexRun run = runRegMutex(p, config);
-        EXPECT_GE(static_cast<int>(run.stats.ctasCompleted),
-                  run.stats.theoreticalCtas)
+        const PolicyRun run = runPolicy("regmutex", p, config);
+        EXPECT_GE(static_cast<int>(run.stats().ctasCompleted),
+                  run.stats().theoreticalCtas)
             << entry.spec.name << ": grid smaller than one wave";
     }
 }

@@ -100,7 +100,7 @@ TEST(MultiSm, FullMachineWithOneSmMatchesSeedSimulatePath)
     GpuConfig config = gtx480Config();
     config.numSms = 1;
 
-    const SimStats seed = runBaseline(p, config);
+    const SimStats seed = runPolicy("baseline", p, config).stats();
 
     RunOptions options;
     options.gpu.mode = GpuOptions::Mode::FullMachine;
@@ -115,11 +115,14 @@ TEST(MultiSm, RepresentativeModeIsTheDefaultSeedBehavior)
     const Program p = buildWorkload("ParticleFilter");
     const GpuConfig config = gtx480Config(); // 15 SMs in the config
 
-    const SimStats seed = runBaseline(p, config);
+    RunOptions representative;
+    representative.gpu.mode = GpuOptions::Mode::Representative;
+    const SimStats seed =
+        runPolicy("baseline", p, config, representative).stats();
     const PolicyRun run = runPolicy("baseline", p, config);
 
     // Default mode simulates one representative SM regardless of
-    // config.numSms, exactly like the seed facade.
+    // config.numSms, exactly like the seed model.
     ASSERT_EQ(run.result.numSms(), 1);
     expectSameStats(seed, run.stats());
 }
@@ -193,7 +196,7 @@ TEST(MultiSm, FullMachineAgreesWithRepresentativeModel)
     const Program p = buildWorkload("BFS");
     const GpuConfig config = gtx480Config();
 
-    const SimStats rep = runBaseline(p, config);
+    const SimStats rep = runPolicy("baseline", p, config).stats();
 
     RunOptions options;
     options.gpu.mode = GpuOptions::Mode::FullMachine;

@@ -324,7 +324,7 @@ collectKeys(const JsonValue &value, const std::string &prefix,
 TEST(Export, SimStatsJsonKeysMatchGoldenFile)
 {
     const Program p = buildWorkload("BFS");
-    const SimStats stats = runBaseline(p, gtx480Config());
+    const SimStats stats = runPolicy("baseline", p, gtx480Config()).stats();
     const JsonValue doc = parseJson(statsToJson(stats));
     std::vector<std::string> keys;
     collectKeys(doc, "", keys);
@@ -497,36 +497,36 @@ class ObservedRun : public ::testing::Test
     SetUp() override
     {
         const Program p = buildWorkload("BFS");
-        ObsSinks obs;
-        obs.metrics = &registry;
-        obs.sampler = &sampler;
-        obs.trace = &trace;
-        run = runRegMutex(p, gtx480Config(), {}, obs);
+        RunOptions options;
+        options.gpu.obs.metrics = &registry;
+        options.gpu.obs.sampler = &sampler;
+        options.gpu.obs.trace = &trace;
+        run = runPolicy("regmutex", p, gtx480Config(), options);
         executed = run.compile.program;
     }
 
     MetricsRegistry registry;
     Sampler sampler{registry, 500};
     IssueTrace trace{1 << 18};
-    RegMutexRun run;
+    PolicyRun run;
     Program executed;
 };
 
 TEST_F(ObservedRun, MetricsMirrorSimStats)
 {
     EXPECT_EQ(registry.counter("issue.slots_issued").value(),
-              run.stats.issuedSlots);
+              run.stats().issuedSlots);
     EXPECT_EQ(registry.counter("srp.acquire_attempts").value(),
-              run.stats.acquireAttempts);
+              run.stats().acquireAttempts);
     EXPECT_EQ(registry.counter("srp.acquire_successes").value(),
-              run.stats.acquireSuccesses);
+              run.stats().acquireSuccesses);
     EXPECT_EQ(registry.counter("srp.releases").value(),
-              run.stats.releases);
+              run.stats().releases);
     EXPECT_EQ(registry.counter("stall.scoreboard").value(),
-              run.stats.scoreboardStalls);
+              run.stats().scoreboardStalls);
     // Every successful acquire observed a wait (possibly zero cycles).
     EXPECT_EQ(registry.histogram("srp.acquire_wait_cycles").count(),
-              run.stats.acquireSuccesses);
+              run.stats().acquireSuccesses);
     // All SRP sections released by the end of the run.
     EXPECT_EQ(registry.gauge("srp.holders").value(), 0);
 }
@@ -535,8 +535,8 @@ TEST_F(ObservedRun, SamplerCoversTheRun)
 {
     ASSERT_FALSE(sampler.samples().empty());
     EXPECT_EQ(sampler.samples().front().cycle, 500u);
-    EXPECT_LE(sampler.samples().back().cycle, run.stats.cycles);
-    EXPECT_EQ(sampler.samples().size(), run.stats.cycles / 500);
+    EXPECT_LE(sampler.samples().back().cycle, run.stats().cycles);
+    EXPECT_EQ(sampler.samples().size(), run.stats().cycles / 500);
 }
 
 TEST_F(ObservedRun, ChromeTraceIsValidAndBalanced)
@@ -569,9 +569,9 @@ TEST_F(ObservedRun, ChromeTraceIsValidAndBalanced)
 TEST_F(ObservedRun, DisablingSinksChangesNoCycles)
 {
     const Program p = buildWorkload("BFS");
-    const RegMutexRun plain = runRegMutex(p, gtx480Config());
-    EXPECT_EQ(plain.stats.cycles, run.stats.cycles);
-    EXPECT_EQ(plain.stats.instructions, run.stats.instructions);
+    const PolicyRun plain = runPolicy("regmutex", p, gtx480Config());
+    EXPECT_EQ(plain.stats().cycles, run.stats().cycles);
+    EXPECT_EQ(plain.stats().instructions, run.stats().instructions);
 }
 
 // --- Observing a resumed run -----------------------------------------
@@ -686,10 +686,10 @@ TEST(ObservedResume, RegistryLeavesSnapshotBytesAlone)
 
 // --- Hostile input ---
 //
-// The serve daemon decodes these documents straight off a TCP socket,
-// so the decoders must fail with a structured error on anything
-// malformed or wrong-shaped — never default-construct silently, never
-// crash.
+// The sweep checkpoint and the fuzz corpus decode these documents from
+// files on disk, so the decoders must fail with a structured error on
+// anything malformed or wrong-shaped — never default-construct
+// silently, never crash.
 
 TEST(HostileJson, TruncatedDocumentsThrow)
 {

@@ -1,8 +1,7 @@
 /**
  * @file
- * The policy registry and the parallel sweep runner: the built-in
- * policies reproduce the seed facade entry points bit-exactly, lookups
- * fail loudly with the known names, custom policies register and run,
+ * The policy registry and the parallel sweep runner: lookups fail
+ * loudly with the known names, custom policies register and run,
  * sweepGrid() ordering is deterministic, and runSweep() results do not
  * depend on the sweep thread count.
  */
@@ -65,42 +64,6 @@ TEST(PolicyRegistry, CustomPolicyRegistersAndRuns)
     const PolicyRun run = runPolicy("rfv-0.4", p, config, options);
     EXPECT_FALSE(run.stats().deadlocked);
     EXPECT_EQ(run.stats().ctasCompleted, 8u);
-}
-
-TEST(PolicyFacade, MatchesLegacyEntryPoints)
-{
-    const Program p = buildWorkload("RadixSort");
-    const GpuConfig config = gtx480Config();
-
-    const SimStats base = runBaseline(p, config);
-    const RegMutexRun rmx = runRegMutex(p, config);
-    const RegMutexRun paired = runPaired(p, config);
-    const SimStats owf = runOwf(p, config);
-    const SimStats rfv = runRfv(p, config);
-
-    auto same = [](const SimStats &a, const SimStats &b) {
-        EXPECT_EQ(a.allocatorName, b.allocatorName);
-        EXPECT_EQ(a.cycles, b.cycles);
-        EXPECT_EQ(a.instructions, b.instructions);
-        EXPECT_EQ(a.ctasCompleted, b.ctasCompleted);
-        EXPECT_EQ(a.acquireAttempts, b.acquireAttempts);
-        EXPECT_EQ(a.issuedSlots, b.issuedSlots);
-        EXPECT_EQ(a.avgResidentWarps, b.avgResidentWarps);
-    };
-    same(base, runPolicy("baseline", p, config).stats());
-    same(owf, runPolicy("owf", p, config).stats());
-    same(rfv, runPolicy("rfv", p, config).stats());
-
-    const PolicyRun rmx_run = runPolicy("regmutex", p, config);
-    same(rmx.stats, rmx_run.stats());
-    ASSERT_TRUE(rmx_run.compile.compile.has_value());
-    EXPECT_EQ(rmx.compile.selection.bs,
-              rmx_run.compile.compile->selection.bs);
-    EXPECT_EQ(rmx.compile.selection.es,
-              rmx_run.compile.compile->selection.es);
-
-    const PolicyRun paired_run = runPolicy("paired", p, config);
-    same(paired.stats, paired_run.stats());
 }
 
 TEST(Sweep, GridOrderingIsConfigOuterWorkloadThenPolicy)

@@ -97,30 +97,30 @@ TEST_P(RandomKernelSim, AllPoliciesCompleteConsistently)
     const Program p = buildKernel(spec);
     const GpuConfig config = gtx480Config();
 
-    const SimStats base = runBaseline(p, config);
+    const SimStats base = runPolicy("baseline", p, config).stats();
     EXPECT_FALSE(base.deadlocked);
     const std::uint64_t ctas = base.ctasCompleted;
     EXPECT_GT(ctas, 0u);
 
     try {
-        const RegMutexRun rmx = runRegMutex(p, config);
-        EXPECT_FALSE(rmx.stats.deadlocked);
-        EXPECT_EQ(rmx.stats.ctasCompleted, ctas);
-        EXPECT_LE(rmx.stats.acquireSuccesses,
-                  rmx.stats.acquireAttempts);
+        const PolicyRun rmx = runPolicy("regmutex", p, config);
+        EXPECT_FALSE(rmx.stats().deadlocked);
+        EXPECT_EQ(rmx.stats().ctasCompleted, ctas);
+        EXPECT_LE(rmx.stats().acquireSuccesses,
+                  rmx.stats().acquireAttempts);
 
-        const RegMutexRun paired = runPaired(p, config);
-        EXPECT_FALSE(paired.stats.deadlocked);
-        EXPECT_EQ(paired.stats.ctasCompleted, ctas);
+        const PolicyRun paired = runPolicy("paired", p, config);
+        EXPECT_FALSE(paired.stats().deadlocked);
+        EXPECT_EQ(paired.stats().ctasCompleted, ctas);
 
-        const SimStats owf = runOwf(p, config);
+        const SimStats owf = runPolicy("owf", p, config).stats();
         EXPECT_FALSE(owf.deadlocked);
         EXPECT_EQ(owf.ctasCompleted, ctas);
     } catch (const FatalError &) {
         // No viable compile for this spec: baseline-only is fine.
     }
 
-    const SimStats rfv = runRfv(p, config);
+    const SimStats rfv = runPolicy("rfv", p, config).stats();
     EXPECT_FALSE(rfv.deadlocked);
     EXPECT_EQ(rfv.ctasCompleted, ctas);
 }
@@ -129,8 +129,8 @@ TEST_P(RandomKernelSim, SimulationIsDeterministic)
 {
     const Program p = buildKernel(spec);
     const GpuConfig config = gtx480Config();
-    const SimStats a = runBaseline(p, config);
-    const SimStats b = runBaseline(p, config);
+    const SimStats a = runPolicy("baseline", p, config).stats();
+    const SimStats b = runPolicy("baseline", p, config).stats();
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.instructions, b.instructions);
     EXPECT_EQ(a.scoreboardStalls, b.scoreboardStalls);

@@ -179,7 +179,7 @@ TEST(Robustness, WatchdogReportsDeadlockedHardware)
     b.bind(skip);       // drops when warp 1 exits, so this completes.
     b.exitKernel();
     const Program p = b.finalize();
-    const SimStats stats = runBaseline(p, gtx480Config());
+    const SimStats stats = runPolicy("baseline", p, gtx480Config()).stats();
     // The barrier bookkeeping tolerates early exits (warpsAlive
     // shrinks), so this specific case completes rather than wedging.
     EXPECT_FALSE(stats.deadlocked);

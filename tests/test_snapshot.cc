@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -144,6 +143,17 @@ TEST(SnapshotCodec, SimStatsRoundTrip)
     EXPECT_TRUE(r.atEnd());
     EXPECT_EQ(back, stats);
     EXPECT_EQ(back.deadlockCause, DeadlockCause::Acquire);
+}
+
+TEST(SnapshotCodec, SimStatsOutOfRangeDeadlockCauseThrows)
+{
+    SnapshotWriter w;
+    saveStats(w, SimStats{});
+    std::string bytes = w.take();
+    // The blob ends with the deadlockCause byte; 4 is one past Barrier.
+    bytes.back() = 4;
+    SnapshotReader r(bytes);
+    EXPECT_THROW(loadStats(r), SnapshotError);
 }
 
 TEST(GpuSnapshotFormat, DamageFailsLoudly)
@@ -303,7 +313,7 @@ TEST(GpuSnapshotFormat, FileRoundTripIsAtomic)
 
 TEST(GpuSnapshotFormat, ConcurrentWritersToOnePathStayAtomic)
 {
-    // Two processes (or the serve daemon's workers) sharing a snapshot
+    // Two processes (or two sweeps' workers) sharing a snapshot
     // directory may race on the same cell's file. Each write stages
     // through a writer-unique temp name, so the rename is atomic: the
     // final file is always one complete snapshot — never interleaved
@@ -472,31 +482,6 @@ TEST(KillResumeDetail, PeriodicSnapshotsDoNotPerturbStats)
 
 // --- Preemption triggers ---
 
-TEST(Preemption, CancellationTokenStopsAtEpoch)
-{
-    const Program program = buildWorkload("BFS");
-    std::atomic<bool> cancel{true};
-    RunOptions options;
-    options.gpu.control.cancel = &cancel;
-    const PolicyRun run =
-        runPolicy("regmutex", program, gtx480Config(), options);
-    ASSERT_FALSE(run.result.completed());
-    EXPECT_EQ(run.result.preemptReason, PreemptReason::Cancelled);
-    // Cancellation is checked at epoch boundaries.
-    EXPECT_EQ(run.stats().cycles, options.gpu.control.epochCycles);
-    ASSERT_NE(run.result.snapshot, nullptr);
-
-    // A resumed run with the token cleared finishes normally.
-    cancel = false;
-    RunOptions resume_options;
-    resume_options.gpu.resume = roundTrip(*run.result.snapshot);
-    const PolicyRun resumed =
-        runPolicy("regmutex", program, gtx480Config(), resume_options);
-    EXPECT_TRUE(resumed.result.completed());
-    const PolicyRun ref = runPolicy("regmutex", program, gtx480Config());
-    EXPECT_EQ(resumed.stats(), ref.stats());
-}
-
 TEST(Preemption, ExpiredWallDeadlineStops)
 {
     const Program program = buildWorkload("BFS");
@@ -508,16 +493,26 @@ TEST(Preemption, ExpiredWallDeadlineStops)
         runPolicy("regmutex", program, gtx480Config(), options);
     ASSERT_FALSE(run.result.completed());
     EXPECT_EQ(run.result.preemptReason, PreemptReason::WallDeadline);
+    // The deadline is checked at epoch boundaries.
+    EXPECT_EQ(run.stats().cycles, options.gpu.control.epochCycles);
+    ASSERT_NE(run.result.snapshot, nullptr);
+
+    // A resumed run without the deadline finishes normally.
+    RunOptions resume_options;
+    resume_options.gpu.resume = roundTrip(*run.result.snapshot);
+    const PolicyRun resumed =
+        runPolicy("regmutex", program, gtx480Config(), resume_options);
+    EXPECT_TRUE(resumed.result.completed());
+    const PolicyRun ref = runPolicy("regmutex", program, gtx480Config());
+    EXPECT_EQ(resumed.stats(), ref.stats());
 }
 
 TEST(Preemption, GenerousLimitsDoNotPreempt)
 {
     const Program program = buildWorkload("BFS");
     const PolicyRun ref = runPolicy("regmutex", program, gtx480Config());
-    std::atomic<bool> cancel{false};
     RunOptions options;
     options.gpu.control.maxCycles = ref.stats().cycles * 4;
-    options.gpu.control.cancel = &cancel;
     options.gpu.control =
         options.gpu.control.withWallDeadlineSeconds(3600.0);
     const PolicyRun run =
