@@ -146,20 +146,14 @@ for name in "${REQUIRED[@]}"; do
     run_bench "$name" "$BUILD/bench/$name" --json "$OUTDIR/$name.json"
 done
 
-# Benches with no figure/table report still run; micro_hotpaths gets
-# its google-benchmark JSON captured so rm-bench --micro can fold the
-# numbers into the perf trajectory (docs/BENCHMARKS.md).
+# Benches with no figure/table report still run.
 for b in "$BUILD"/bench/*; do
     [ -f "$b" ] && [ -x "$b" ] || continue
     name="$(basename "$b")"
     for req in "${REQUIRED[@]}"; do
         [ "$name" = "$req" ] && continue 2
     done
-    if [ "$name" = "micro_hotpaths" ]; then
-        run_bench "$name" "$b" --json "$OUTDIR/micro_hotpaths.json"
-    else
-        run_bench "$name" "$b"
-    fi
+    run_bench "$name" "$b"
 done
 
 # Every bench was at least attempted: the batch is complete (even if

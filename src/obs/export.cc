@@ -624,75 +624,6 @@ chromeTrace(const IssueTrace &trace, const Program &program)
     return w.take();
 }
 
-namespace {
-
-/** Schema version of the profile JSON document. */
-constexpr std::uint64_t kProfileSchemaVersion = 1;
-
-} // namespace
-
-void
-profileToJson(JsonWriter &w, const ProfReport &report)
-{
-    w.beginObject();
-    w.key("schema_version").value(kProfileSchemaVersion);
-    w.key("wall_ns").value(report.wallNs);
-    w.key("threads").value(report.threads);
-    w.key("span_count").value(static_cast<std::uint64_t>(
-        report.spans.size()));
-    w.key("dropped_spans").value(report.droppedSpans);
-    w.key("phases").beginArray();
-    for (const ProfPhaseStats &phase : report.phases) {
-        w.beginObject();
-        w.key("phase").value(profPhaseName(phase.phase));
-        w.key("count").value(phase.count);
-        w.key("total_ns").value(phase.totalNs);
-        w.key("max_ns").value(phase.maxNs);
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
-}
-
-std::string
-profileToJson(const ProfReport &report)
-{
-    JsonWriter w;
-    profileToJson(w, report);
-    return w.take();
-}
-
-ProfReport
-profileFromJson(const JsonValue &value)
-{
-    requireJsonObject(value, "profile document");
-    ProfReport report;
-    report.wallNs = jsonU64(value, "wall_ns");
-    report.threads = jsonInt(value, "threads");
-    report.droppedSpans = jsonU64(value, "dropped_spans");
-    report.phases.resize(static_cast<std::size_t>(kProfPhaseCount));
-    for (int p = 0; p < kProfPhaseCount; ++p)
-        report.phases[static_cast<std::size_t>(p)].phase =
-            static_cast<ProfPhase>(p);
-    if (const JsonValue *phases = jsonArray(value, "phases")) {
-        for (const JsonValue &entry : phases->items) {
-            if (!entry.isObject())
-                throw JsonSchemaError(
-                    "json: member 'phases' has a non-object element");
-            const ProfPhase phase =
-                profPhaseFromName(jsonString(entry, "phase"));
-            if (phase == ProfPhase::NumPhases)
-                continue; // a newer writer's phase: skip, keep loading
-            ProfPhaseStats &out =
-                report.phases[static_cast<std::size_t>(phase)];
-            out.count = jsonU64(entry, "count");
-            out.totalNs = jsonU64(entry, "total_ns");
-            out.maxNs = jsonU64(entry, "max_ns");
-        }
-    }
-    return report;
-}
-
 std::string
 profileChromeTrace(const ProfReport &report)
 {

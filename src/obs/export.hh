@@ -115,26 +115,6 @@ std::string lintReportToSarif(const Program &program,
 std::string chromeTrace(const IssueTrace &trace, const Program &program);
 
 /**
- * Append @p report (obs/profiler.hh) as a JSON object to @p writer:
- * schema version, wall time, thread/span bookkeeping and one entry per
- * phase (name, count, total_ns, max_ns). Span timelines do not
- * round-trip through JSON — use profileChromeTrace for those. The key
- * set is frozen by a golden-file test (tests/golden/profile_keys.txt).
- */
-void profileToJson(JsonWriter &writer, const ProfReport &report);
-
-/** @p report as a standalone JSON document. */
-std::string profileToJson(const ProfReport &report);
-
-/**
- * Rebuild a ProfReport's aggregate view from a profileToJson document.
- * Same compatibility rules as statsFromJson: missing keys load as
- * defaults, unknown keys (and unknown phase names) are ignored, so
- * older and newer reports keep loading. Span records are not restored.
- */
-ProfReport profileFromJson(const JsonValue &value);
-
-/**
  * The report's host-side span timeline as a Chrome trace_event JSON
  * document (chrome://tracing, ui.perfetto.dev). One track per
  * recording thread; slice names are phase names, with the span's arg

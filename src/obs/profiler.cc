@@ -40,16 +40,6 @@ profPhaseName(ProfPhase phase)
     return kPhaseNames[static_cast<std::size_t>(index)];
 }
 
-ProfPhase
-profPhaseFromName(const std::string &name)
-{
-    for (int p = 0; p < kProfPhaseCount; ++p) {
-        if (name == kPhaseNames[static_cast<std::size_t>(p)])
-            return static_cast<ProfPhase>(p);
-    }
-    return ProfPhase::NumPhases;
-}
-
 void
 Profiler::enable()
 {

@@ -87,9 +87,6 @@ inline constexpr int kProfPhaseCount = static_cast<int>(ProfPhase::NumPhases);
 /** Stable export name ("sm.events", "sweep.sim", ...). */
 const char *profPhaseName(ProfPhase phase);
 
-/** Lookup by export name; returns NumPhases when unknown. */
-ProfPhase profPhaseFromName(const std::string &name);
-
 /** True for phases that record timeline spans, not just aggregates. */
 constexpr bool
 profPhaseTraced(ProfPhase phase)

@@ -1296,7 +1296,7 @@ Sm::saveState(SnapshotWriter &w) const
         w.u64(warp.launchOrder);
         w.u8(static_cast<std::uint8_t>(warps.state(slot)));
         w.i32(warps.pc(slot));
-        // v3: register images only for resident slots. A finished (or
+        // Register images only for resident slots. A finished (or
         // never-launched) slot's slab span is never read before the
         // relaunch zero-fill, so nothing is lost dropping it here.
         const std::uint32_t num_regs =
@@ -1350,8 +1350,7 @@ Sm::saveState(SnapshotWriter &w) const
     }
 
     // Pending scoreboard/memory events in (cycle, push order) — a pure
-    // function of simulation history. Same-cycle events commute in
-    // processEvents(), so the v2 heap-drain order restores identically.
+    // function of simulation history.
     const std::vector<SimEvent> pending = events.drainSorted();
     w.u32(static_cast<std::uint32_t>(pending.size()));
     for (const SimEvent &event : pending) {
@@ -1469,12 +1468,13 @@ Sm::restoreState(SnapshotReader &r)
             throw SnapshotError("snapshot: invalid warp state");
         warps.setState(slot, static_cast<WarpState>(state));
         warps.setPc(slot, r.i32());
-        // v3 writes resident slots only; v2 files also carry the stale
-        // register image of finished slots (dropped into the zero-fill
-        // below — behaviour-neutral, a relaunch always zero-fills).
+        // Resident slots carry their whole register image, others none.
         const std::uint32_t num_regs = r.u32();
-        if (num_regs > static_cast<std::uint32_t>(warps.regCount()))
-            throw SnapshotError("snapshot: register count mismatch");
+        require(num_regs == (warps.resident(slot)
+                                 ? static_cast<std::uint32_t>(
+                                       warps.regCount())
+                                 : 0u),
+                "register count mismatch");
         warps.clearRegs(slot);
         std::int64_t *regs = warps.regs(slot);
         for (std::uint32_t i = 0; i < num_regs; ++i)

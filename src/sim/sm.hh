@@ -119,9 +119,6 @@ class Sm
      * GlobalMemory of the same geometry and seed. Saved indices are
      * range-checked and the warp/CTA bookkeeping audited, so a damaged
      * image throws SnapshotError rather than corrupting the engine.
-     * Reads the v3 and the wire-compatible v2 warp encodings (v2
-     * register images of non-resident slots are dropped: a relaunch
-     * always zero-fills).
      */
     void restoreState(SnapshotReader &r);
 

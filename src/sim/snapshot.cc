@@ -304,10 +304,9 @@ GpuSnapshot::deserialize(std::string_view bytes)
     if (magic != kMagic)
         throw SnapshotError("snapshot: bad magic (not a snapshot file)");
     const std::uint32_t version = r.u32();
-    if (version < kMinVersion || version > kVersion) {
+    if (version != kVersion) {
         throw SnapshotError("snapshot: unsupported version " +
                             std::to_string(version) + " (expected " +
-                            std::to_string(kMinVersion) + ".." +
                             std::to_string(kVersion) + ")");
     }
     snap.kernel = r.str();

@@ -155,15 +155,12 @@ struct GpuSnapshot
 {
     static constexpr std::uint32_t kMagic = 0x524d534eU;  // "RMSN"
     /**
-     * v3: per-warp register images cover resident slots only (the
-     * WarpStore slab encoding); events serialize in (cycle, push
-     * order). v2 snapshots (per-warp register vectors, heap-drain
-     * event order) restore identically — the warp encoding is wire-
-     * compatible and same-cycle events commute — so deserialize()
-     * accepts both.
+     * Per-warp register images cover resident slots only; events
+     * serialize in (cycle, push order). deserialize() accepts this
+     * version only: snapshots are short-lived preemption artefacts, so
+     * a format change rejects older files rather than migrating them.
      */
     static constexpr std::uint32_t kVersion = 3;
-    static constexpr std::uint32_t kMinVersion = 2;
 
     std::string kernel;
     std::string policy;

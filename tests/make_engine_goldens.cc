@@ -6,13 +6,12 @@
  *     make-engine-goldens tests/golden
  *
  * emits engine_stats.tsv (one "case-key <TAB> statsToJson" line per
- * grid cell) and engine_v2.snap (a mid-run GpuSnapshot in whatever
- * codec version the generating build writes). The committed copies
- * were produced by the pre-refactor (PR 7) engine: heap-of-Events,
- * AoS SimWarp, no skip-ahead. test_engine_equivalence.cc replays the
- * same grid on the current engine and demands bit-identical SimStats,
- * so any accidental behaviour change in an engine rewrite fails
- * loudly against history rather than silently redefining truth.
+ * grid cell). The committed copy was produced by the pre-refactor
+ * engine: heap-of-Events, AoS SimWarp, no skip-ahead.
+ * test_engine_equivalence.cc replays the same grid on the current
+ * engine and demands bit-identical SimStats, so any accidental
+ * behaviour change in an engine rewrite fails loudly against history
+ * rather than silently redefining truth.
  */
 
 #include <cstdio>
@@ -24,7 +23,6 @@
 #include "core/experiment.hh"
 #include "obs/export.hh"
 #include "sim/config.hh"
-#include "sim/snapshot.hh"
 #include "workloads/suite.hh"
 
 namespace {
@@ -115,21 +113,5 @@ main(int argc, char **argv)
         tsv << c.key << '\t' << rm::statsToJson(run.stats()) << '\n';
         std::cout << c.key << ": cycles=" << run.stats().cycles << '\n';
     }
-    tsv.close();
-
-    // Mid-run snapshot fixture: regmutex/BFS cut at cycle 2500. The
-    // resumed run must reproduce BFS/regmutex/rep/clean exactly.
-    rm::RunOptions cut;
-    cut.gpu.control.maxCycles = 2500;
-    const rm::PolicyRun preempted = rm::runPolicy(
-        "regmutex", rm::buildWorkload("BFS"), rm::gtx480Config(), cut);
-    if (preempted.result.completed() || !preempted.result.snapshot) {
-        std::cerr << "snapshot fixture: expected a preempted run\n";
-        return 1;
-    }
-    rm::writeSnapshotFile(dir + "/engine_v2.snap",
-                          *preempted.result.snapshot);
-    std::cout << "snapshot fixture written (cut at cycle "
-              << preempted.stats().cycles << ")\n";
     return 0;
 }

@@ -2,13 +2,13 @@
  * @file
  * Engine-history equivalence: the refactored hot core (SoA WarpStore,
  * indexed EventWheel, skip-ahead cycle loop) must reproduce the
- * pre-refactor engine bit for bit. tests/golden/engine_stats.tsv and
- * engine_v2.snap were frozen from the PR 7 build (heap-of-Events, AoS
- * SimWarp, per-cycle loop; see tests/make_engine_goldens.cc); this
- * suite replays the same grid on the current engine and demands
- * identical statsToJson documents, identical results with skip-ahead
- * disabled (with and without a sampler attached), and a bit-exact
- * resume from the v2-codec snapshot fixture.
+ * pre-refactor engine bit for bit. tests/golden/engine_stats.tsv was
+ * frozen from that engine (heap-of-Events, AoS SimWarp, per-cycle
+ * loop; see tests/make_engine_goldens.cc); this suite replays the same
+ * grid on the current engine and demands identical statsToJson
+ * documents, identical results with skip-ahead disabled (with and
+ * without a sampler attached), and a bit-exact resume from a mid-run
+ * snapshot.
  */
 
 #include <gtest/gtest.h>
@@ -230,26 +230,10 @@ TEST(EngineEquivalence, SampledRunsSkipAheadBitIdentically)
     }
 }
 
-TEST(EngineEquivalence, ResumesPreRefactorV2Snapshot)
+TEST(EngineEquivalence, MidRunSnapshotUsesCurrentCodec)
 {
-    // The fixture is a mid-run capture (cycle 2500) written by the v2
-    // codec; resuming it on the v3 engine must finish with exactly the
-    // stats of the uninterrupted golden run.
-    const GpuSnapshot snap = readSnapshotFile(goldenPath("engine_v2.snap"));
-    RunOptions options;
-    options.gpu.resume = std::make_shared<const GpuSnapshot>(snap);
-    const PolicyRun resumed =
-        runPolicy("regmutex", buildWorkload("BFS"), gtx480Config(), options);
-    ASSERT_TRUE(resumed.result.completed());
-    const auto it = goldenStats().find("BFS/regmutex/rep/clean");
-    ASSERT_NE(it, goldenStats().end());
-    EXPECT_EQ(statsToJson(resumed.stats()), it->second);
-}
-
-TEST(EngineEquivalence, ResavedV2SnapshotUsesV3Codec)
-{
-    // Cut the same run on the current engine: the capture must carry
-    // the v3 version tag and still resume bit-exactly.
+    // Cut BFS/regmutex at cycle 2500: the capture must carry the
+    // current version tag and resume to the uninterrupted golden run.
     RunOptions cut;
     cut.gpu.control.maxCycles = 2500;
     const PolicyRun preempted =

@@ -5,13 +5,12 @@
  * SimStats — representative and full-machine mode, serial and pooled —
  * because the profiler only reads clocks and writes its own buffers.
  * The rest pins the mechanics: span nesting and cross-thread merge
- * under parallelFor, session reset on enable(), and the profile JSON
- * schema (golden key file plus forward-compatible parsing).
+ * under parallelFor, session reset on enable(), and the Chrome-trace
+ * and table exports.
  */
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -220,18 +219,7 @@ TEST(ProfilerSpans, DisabledProfilerRecordsNothing)
     EXPECT_TRUE(report.spans.empty());
 }
 
-// --- Phase names -----------------------------------------------------
-
-TEST(ProfilerNames, PhaseNamesRoundTripAndRejectUnknown)
-{
-    for (int p = 0; p < kProfPhaseCount; ++p) {
-        const ProfPhase phase = static_cast<ProfPhase>(p);
-        EXPECT_EQ(profPhaseFromName(profPhaseName(phase)), phase);
-    }
-    EXPECT_EQ(profPhaseFromName("no.such.phase"), ProfPhase::NumPhases);
-}
-
-// --- JSON export schema ----------------------------------------------
+// --- Exports ---------------------------------------------------------
 
 /** A report with every field populated, for export checks. */
 ProfReport
@@ -262,103 +250,6 @@ sampleReport()
         static_cast<std::int32_t>(ProfPhase::GpuSmRun), 1, 1, 200,
         2'200'200});
     return report;
-}
-
-void
-collectKeys(const JsonValue &value, const std::string &prefix,
-            std::vector<std::string> &out)
-{
-    for (const auto &[name, member] : value.members) {
-        const std::string path =
-            prefix.empty() ? name : prefix + "." + name;
-        if (member.isObject()) {
-            collectKeys(member, path, out);
-        } else if (member.isArray() && !member.items.empty() &&
-                   member.items.front().isObject()) {
-            collectKeys(member.items.front(), path + "[]", out);
-        } else {
-            out.push_back(path);
-        }
-    }
-}
-
-TEST(ProfileExport, JsonKeysMatchGoldenFile)
-{
-    const JsonValue doc = parseJson(profileToJson(sampleReport()));
-    std::vector<std::string> keys;
-    collectKeys(doc, "", keys);
-
-    const std::string golden_path =
-        std::string(RM_TEST_GOLDEN_DIR) + "/profile_keys.txt";
-    std::ifstream golden(golden_path);
-    ASSERT_TRUE(golden) << "cannot open " << golden_path;
-    std::vector<std::string> expected;
-    for (std::string line; std::getline(golden, line);)
-        if (!line.empty())
-            expected.push_back(line);
-
-    // The schema is an interface: check_perf_trajectory.py and trace
-    // viewers key on these names. Update the golden file deliberately
-    // when the schema deliberately changes.
-    EXPECT_EQ(keys, expected);
-}
-
-TEST(ProfileExport, JsonRoundTripPreservesAggregates)
-{
-    const ProfReport original = sampleReport();
-    const ProfReport parsed =
-        profileFromJson(parseJson(profileToJson(original)));
-    EXPECT_EQ(parsed.wallNs, original.wallNs);
-    EXPECT_EQ(parsed.threads, original.threads);
-    EXPECT_EQ(parsed.droppedSpans, original.droppedSpans);
-    ASSERT_EQ(parsed.phases.size(), original.phases.size());
-    for (int p = 0; p < kProfPhaseCount; ++p) {
-        const auto &a = original.phases[static_cast<std::size_t>(p)];
-        const auto &b = parsed.phases[static_cast<std::size_t>(p)];
-        EXPECT_EQ(a.count, b.count) << profPhaseName(a.phase);
-        EXPECT_EQ(a.totalNs, b.totalNs) << profPhaseName(a.phase);
-        EXPECT_EQ(a.maxNs, b.maxNs) << profPhaseName(a.phase);
-    }
-    // Span timelines intentionally do not round-trip through the
-    // aggregate document; profileChromeTrace carries those.
-    EXPECT_TRUE(parsed.spans.empty());
-}
-
-TEST(ProfileExport, FromJsonToleratesMissingAndUnknownFields)
-{
-    // A minimal old-writer document: absent fields default.
-    const ProfReport minimal =
-        profileFromJson(parseJson("{\"schema_version\": 1}"));
-    EXPECT_EQ(minimal.wallNs, 0u);
-    EXPECT_EQ(minimal.threads, 0);
-    EXPECT_EQ(minimal.droppedSpans, 0u);
-    ASSERT_EQ(minimal.phases.size(),
-              static_cast<std::size_t>(kProfPhaseCount));
-    for (const ProfPhaseStats &phase : minimal.phases)
-        EXPECT_EQ(phase.count, 0u);
-
-    // A newer writer's document: unknown members and unknown phase
-    // names are skipped, known phases still load.
-    const ProfReport newer = profileFromJson(parseJson(R"({
-        "schema_version": 1,
-        "wall_ns": 42,
-        "threads": 3,
-        "dropped_spans": 0,
-        "future_field": {"nested": true},
-        "phases": [
-            {"phase": "sm.schedule", "count": 7, "total_ns": 70,
-             "max_ns": 12, "future_detail": 1},
-            {"phase": "phase.from.the.future", "count": 9,
-             "total_ns": 90, "max_ns": 20}
-        ]
-    })"));
-    EXPECT_EQ(newer.wallNs, 42u);
-    EXPECT_EQ(newer.threads, 3);
-    const auto &sched = newer.phases[static_cast<std::size_t>(
-        ProfPhase::SmSchedule)];
-    EXPECT_EQ(sched.count, 7u);
-    EXPECT_EQ(sched.totalNs, 70u);
-    EXPECT_EQ(sched.maxNs, 12u);
 }
 
 TEST(ProfileExport, ChromeTraceCarriesSpansAndMetadata)

@@ -181,6 +181,11 @@ TEST(GpuSnapshotFormat, DamageFailsLoudly)
     broken = bytes;
     broken[4] = static_cast<char>(0x7f);
     EXPECT_THROW(GpuSnapshot::deserialize(broken), SnapshotError);
+    // A retired version (2): only kVersion decodes, older files are
+    // rejected rather than migrated.
+    broken = bytes;
+    broken[4] = static_cast<char>(2);
+    EXPECT_THROW(GpuSnapshot::deserialize(broken), SnapshotError);
     // Truncated.
     EXPECT_THROW(GpuSnapshot::deserialize(
                      std::string_view(bytes).substr(0, bytes.size() - 3)),
@@ -290,6 +295,57 @@ TEST(GpuSnapshotFormat, EveryByteFlipOfAnSmImageIsTypedOrResumes)
         }
     }
     EXPECT_GT(rejected, 0);
+}
+
+/**
+ * A resident warp carries its whole register image. An SM image whose
+ * first resident warp is one register short, with the stream otherwise
+ * intact, must be rejected rather than resumed with that register
+ * zeroed.
+ */
+TEST(GpuSnapshotFormat, ShortRegisterImageIsRejected)
+{
+    RunOptions cut;
+    cut.gpu.control.maxCycles = 2500;
+    const PolicyRun preempted =
+        runPolicy("regmutex", buildWorkload("BFS"), gtx480Config(), cut);
+    ASSERT_NE(preempted.result.snapshot, nullptr);
+    const std::string &image = preempted.result.snapshot->sms.at(0).state;
+    const auto num_regs =
+        static_cast<std::uint32_t>(preempted.compile.program.info.numRegs);
+    const auto num_sregs =
+        static_cast<std::uint32_t>(SpecialReg::NumSpecialRegs);
+    const auto u32_at = [&](std::size_t at) {
+        return SnapshotReader(std::string_view(image).substr(at, 4)).u32();
+    };
+
+    // A warp record reads ... u8 state, i32 pc, u32 register count,
+    // that many i64 registers, u32 special-register count ...
+    const std::size_t regs_bytes = 8 * std::size_t{num_regs};
+    std::size_t at = 5;
+    for (; at + 4 + regs_bytes + 4 <= image.size(); ++at) {
+        const auto state = static_cast<std::uint8_t>(image[at - 5]);
+        if (state != static_cast<std::uint8_t>(WarpState::Unused) &&
+            state < static_cast<std::uint8_t>(WarpState::Finished) &&
+            u32_at(at) == num_regs &&
+            u32_at(at + 4 + regs_bytes) == num_sregs)
+            break;
+    }
+    ASSERT_LE(at + 4 + regs_bytes + 4, image.size())
+        << "no resident warp record";
+
+    // Drop the last register and decrement the count to match.
+    SnapshotWriter count;
+    count.u32(num_regs - 1);
+    auto damaged = std::make_shared<GpuSnapshot>(*preempted.result.snapshot);
+    damaged->sms[0].state = image.substr(0, at) + count.take() +
+                            image.substr(at + 4, regs_bytes - 8) +
+                            image.substr(at + 4 + regs_bytes);
+    RunOptions resume;
+    resume.gpu.resume = damaged;
+    EXPECT_THROW(runPolicy("regmutex", buildWorkload("BFS"), gtx480Config(),
+                           resume),
+                 SnapshotError);
 }
 
 TEST(GpuSnapshotFormat, FileRoundTripIsAtomic)
