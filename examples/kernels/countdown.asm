@@ -1,6 +1,6 @@
 // Minimal countdown kernel: a data-independent loop followed by a
 // store — handy for first contact with the CLI tools:
-//   regmutex_sim examples/kernels/countdown.asm --policy baseline
+//   rm-inspect examples/kernels/countdown.asm --policy baseline
 .kernel countdown
 .ctaThreads 64
 .gridCtas 30

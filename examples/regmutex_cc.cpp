@@ -10,24 +10,62 @@
  *
  * Usage:
  *   regmutex_cc [--half-rf] [--es N] [--coalesce N] [--report]
- *               <kernel.asm>   (or a bundled workload name)
+ *               <kernel.asm|name|->   (a bundled workload name, or
+ *                                      "-" for assembly on stdin)
+ *
+ * --report adds, on stderr, the |Es| candidate table the heuristic
+ * weighed, the residual low-pressure held-instruction count, and the
+ * nvdisasm-style liveness matrix of the compiled program.
+ *
+ * Exit status: 0 on success, 1 when the kernel cannot be loaded or
+ * compiled, 2 on usage errors (unknown flag, missing or malformed
+ * value).
  *
  * Example:
  *   ./examples/regmutex_cc BFS | ./examples/regmutex_cc -   # idempotence check fails: already compiled
  */
 
-#include <fstream>
+#include <cstdint>
 #include <iostream>
-#include <sstream>
+#include <limits>
 #include <string>
 
 #include "analysis/cfg.hh"
 #include "analysis/liveness.hh"
 #include "analysis/liveness_report.hh"
 #include "common/errors.hh"
+#include "common/table.hh"
 #include "compiler/pipeline.hh"
 #include "isa/asm_parser.hh"
 #include "workloads/suite.hh"
+
+namespace {
+
+int
+usage()
+{
+    std::cerr << "usage: regmutex_cc [--half-rf] [--es N] [--coalesce N] "
+                 "[--report] <kernel.asm|name|->\n";
+    return 2;
+}
+
+/** The |Es| candidates the heuristic weighed, one row each. */
+std::string
+candidateTable(const rm::CompileResult &compiled)
+{
+    rm::Table table({"|Es|", "|Bs|", "CTAs", "warps", "SRP sections",
+                     "barrier rule", "half rule"});
+    for (const auto &cand : compiled.selection.candidates) {
+        rm::Row row;
+        row << cand.es << cand.bs << cand.ctasPerSm << cand.warpsPerSm
+            << cand.srpSections << (cand.meetsBarrierRule ? "ok" : "X")
+            << (cand.passesHalfRule ? "pass" : "fail");
+        table.addRow(row.take());
+    }
+    return table.toText();
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -44,52 +82,45 @@ main(int argc, char **argv)
         auto next = [&]() -> std::string {
             if (i + 1 >= argc) {
                 std::cerr << arg << " needs a value\n";
-                exit(2);
+                exit(usage());
             }
             return argv[++i];
+        };
+        auto nextNumber = [&]() -> int {
+            const std::string text = next();
+            try {
+                std::size_t used = 0;
+                const std::uint64_t v = std::stoull(text, &used);
+                if (used == text.size() &&
+                    v <= static_cast<std::uint64_t>(
+                             std::numeric_limits<int>::max()))
+                    return static_cast<int>(v);
+            } catch (const std::exception &) {
+            }
+            std::cerr << arg << " needs a number, got '" << text
+                      << "'\n";
+            exit(usage());
         };
         if (arg == "--half-rf") {
             config = halfRegisterFile(config);
         } else if (arg == "--es") {
-            options.forcedEs = std::stoi(next());
+            options.forcedEs = nextNumber();
         } else if (arg == "--coalesce") {
-            options.coalesceGap = std::stoi(next());
+            options.coalesceGap = nextNumber();
         } else if (arg == "--report") {
             report = true;
         } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
-            std::cerr << "usage: regmutex_cc [--half-rf] [--es N] "
-                         "[--coalesce N] [--report] <kernel.asm|name|->"
-                      << "\n";
-            return 2;
+            std::cerr << "unknown option " << arg << "\n";
+            return usage();
         } else {
             target = arg;
         }
     }
-    if (target.empty()) {
-        std::cerr << "regmutex_cc: no input\n";
-        return 2;
-    }
+    if (target.empty())
+        return usage();
 
     try {
-        Program program;
-        if (target == "-") {
-            std::ostringstream text;
-            text << std::cin.rdbuf();
-            program = parseProgram(text.str());
-        } else if (target.size() > 4 &&
-                   target.substr(target.size() - 4) == ".asm") {
-            std::ifstream file(target);
-            if (!file) {
-                std::cerr << "cannot open " << target << "\n";
-                return 1;
-            }
-            std::ostringstream text;
-            text << file.rdbuf();
-            program = parseProgram(text.str());
-        } else {
-            program = buildWorkload(target);
-        }
-
+        const Program program = loadKernel(target);
         const CompileResult compiled =
             compileRegMutex(program, config, options);
 
@@ -108,6 +139,11 @@ main(int argc, char **argv)
 
         std::cout << emitProgram(compiled.program);
         if (report) {
+            if (compiled.enabled())
+                std::cerr << "Extended-set size candidates:\n"
+                          << candidateTable(compiled)
+                          << "Residual low-pressure held instructions: "
+                          << compiled.wastedHeldInsts << "\n\n";
             const Cfg cfg = Cfg::build(compiled.program);
             const Liveness live =
                 Liveness::compute(compiled.program, cfg);

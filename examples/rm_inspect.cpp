@@ -8,7 +8,9 @@
  *   rm-inspect --kernel BFS --allocator regmutex \
  *       --json out.json --csv series.csv --chrome-trace out.trace.json
  *
- *   --kernel NAME|file.asm   workload (or positional argument)
+ *   --kernel NAME|file.asm|-
+ *                            workload, assembly file, or "-" for
+ *                            assembly on stdin (or positional argument)
  *   --allocator P            any registered policy (core/policy.hh):
  *                            baseline|regmutex|paired|owf|rfv|...
  *   --sms N                  run the real N-SM machine; the metrics
@@ -56,14 +58,19 @@
  * A preempted run prints its progress and exits with status 3; rerun
  * with --restore to continue it.
  *
- * A deadlocked or watchdog-expired run prints the hang forensics
- * (embedded under "hang" in the JSON document) and exits nonzero.
+ * The summary table also reports the compiled |Bs|/|Es| split (policies
+ * that run the RegMutex compiler) and the normalized register-file
+ * energy (regmutex/energy.hh). A deadlocked or watchdog-expired run
+ * prints the hang forensics (embedded under "hang" in the JSON
+ * document) and exits nonzero.
  *
  * Exit-code contract (uniform across the --lint / --snapshot /
  * --profile flows; scripts and CI match on these):
  *   0  run completed; every requested artifact was written
- *   1  fatal failure: deadlock, watchdog expiry, unreadable input, I/O
- *   2  usage error (unknown flag, missing value, unknown workload name)
+ *   1  fatal failure: deadlock, watchdog expiry, I/O, or a kernel that
+ *      cannot be loaded (unknown workload name, unreadable file, bad
+ *      assembly)
+ *   2  usage error (unknown flag, missing or malformed value)
  *   3  preempted by a run-control limit; snapshot kept, resumable
  *   4  the --lint static gate found error-severity findings
  *
@@ -74,6 +81,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -84,11 +92,11 @@
 #include "common/table.hh"
 #include "core/experiment.hh"
 #include "core/policy.hh"
-#include "isa/asm_parser.hh"
 #include "obs/export.hh"
 #include "obs/json.hh"
 #include "obs/metrics.hh"
 #include "obs/sampler.hh"
+#include "regmutex/energy.hh"
 #include "sim/gpu.hh"
 #include "sim/trace.hh"
 #include "workloads/suite.hh"
@@ -102,7 +110,7 @@ usage()
     for (const std::string &name : rm::PolicyRegistry::instance().names())
         policies += (policies.empty() ? "" : "|") + name;
     std::cerr
-        << "usage: rm-inspect [options] [--kernel] <workload-or-file.asm>\n"
+        << "usage: rm-inspect [options] [--kernel] <workload|file.asm|->\n"
            "  --allocator " << policies << "\n"
            "  --sms N | --threads N\n"
            "  --json PATH | --csv PATH | --chrome-trace PATH\n"
@@ -343,7 +351,7 @@ main(int argc, char **argv)
             for (const auto &entry : paperSuite())
                 std::cout << entry.spec.name << "\n";
             return 0;
-        } else if (!arg.empty() && arg[0] == '-') {
+        } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
             std::cerr << "unknown option " << arg << "\n";
             return usage();
         } else {
@@ -354,20 +362,7 @@ main(int argc, char **argv)
         return usage();
 
     try {
-        Program program;
-        if (target.size() > 4 &&
-            target.substr(target.size() - 4) == ".asm") {
-            std::ifstream file(target);
-            if (!file) {
-                std::cerr << "cannot open " << target << "\n";
-                return 1;
-            }
-            std::ostringstream text;
-            text << file.rdbuf();
-            program = parseProgram(text.str());
-        } else {
-            program = buildWorkload(target);
-        }
+        const Program program = loadKernel(target);
 
         // The full observability stack: registry + sampler + trace.
         MetricsRegistry registry;
@@ -506,6 +501,16 @@ main(int argc, char **argv)
             };
             add("kernel", stats.kernelName);
             add("allocator", stats.allocatorName);
+            const std::optional<CompileResult> &compiled =
+                run.compile.compile;
+            if (compiled && compiled->enabled()) {
+                const EsSelection &split = compiled->selection;
+                add("compiled split",
+                    "|Bs| " + std::to_string(split.bs) + ", |Es| " +
+                        std::to_string(split.es) + ", " +
+                        std::to_string(split.srpSections) +
+                        " SRP sections");
+            }
             add("cycles", std::to_string(stats.cycles));
             add("instructions", std::to_string(stats.instructions));
             add("IPC", fixed(stats.ipc(), 3));
@@ -523,6 +528,8 @@ main(int argc, char **argv)
                 std::to_string(wait.max()));
             add("samples taken",
                 std::to_string(sampler.samples().size()));
+            add("RF energy (normalized)",
+                fixed(estimateEnergy(config, stats).total(), 1));
             add("deadlocked", stats.deadlocked ? "YES" : "no");
             add("deadlock cause",
                 deadlockCauseName(stats.deadlockCause));

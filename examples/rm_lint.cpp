@@ -5,7 +5,8 @@
  * check catalog is in docs/ANALYSIS.md):
  *
  *   rm-lint BFS                         lint one suite workload
- *   rm-lint kernel.asm                  lint an assembly file
+ *   rm-lint kernel.asm                  lint an assembly file ("-"
+ *                                       reads assembly from stdin)
  *   rm-lint --all --compile             lint every suite workload after
  *                                       the RegMutex compiler
  *   rm-lint --translate SPMV            translation validation: lint
@@ -30,13 +31,12 @@
  *   --list             print the suite workload names and exit
  *
  * Exit status: 0 when every linted program is clean (no error-severity
- * findings) and, under --mutants, every mutant was caught; 1 otherwise;
- * 2 on usage errors.
+ * findings) and, under --mutants, every mutant was caught; 1 otherwise,
+ * including a target that cannot be loaded; 2 on usage errors.
  */
 
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -44,7 +44,6 @@
 #include "analysis/mutator.hh"
 #include "common/errors.hh"
 #include "compiler/pipeline.hh"
-#include "isa/asm_parser.hh"
 #include "obs/export.hh"
 #include "obs/json.hh"
 #include "workloads/suite.hh"
@@ -55,7 +54,7 @@ int
 usage()
 {
     std::cerr
-        << "usage: rm-lint [options] <workload-or-file.asm>...\n"
+        << "usage: rm-lint [options] <workload|file.asm|->...\n"
            "  --all | --compile | --translate | --mutants\n"
            "  --half-rf | --disable RMxxx\n"
            "  --json PATH|- | --sarif PATH|- | --quiet\n"
@@ -139,7 +138,7 @@ main(int argc, char **argv)
             for (const auto &entry : paperSuite())
                 std::cout << entry.spec.name << "\n";
             return 0;
-        } else if (!arg.empty() && arg[0] == '-') {
+        } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
             std::cerr << "unknown option " << arg << "\n";
             return usage();
         } else {
@@ -164,20 +163,7 @@ main(int argc, char **argv)
         json.beginArray();
 
         for (const std::string &target : targets) {
-            Program program;
-            if (target.size() > 4 &&
-                target.substr(target.size() - 4) == ".asm") {
-                std::ifstream file(target);
-                if (!file) {
-                    std::cerr << "cannot open " << target << "\n";
-                    return 1;
-                }
-                std::ostringstream text;
-                text << file.rdbuf();
-                program = parseProgram(text.str());
-            } else {
-                program = buildWorkload(target);
-            }
+            Program program = loadKernel(target);
 
             CompileResult compiled;
             if (compile) {

@@ -3,6 +3,12 @@
 # collect their machine-readable JSON reports under results/<timestamp>/.
 # Usage: scripts/run_all_benches.sh [build-dir] [results-root]
 #
+# The bench list comes from the sources: the build makes one binary per
+# bench/*.cc (figure_bench in bench/CMakeLists.txt), and each of them is
+# required. A binary in the build tree with no source left (the output
+# of a deleted target, which an incremental build never removes) is
+# not run.
+#
 # Robustness: each bench runs under a wall-clock timeout
 # (RM_BENCH_TIMEOUT seconds, default 900, 0 disables) so one wedged
 # bench cannot stall the whole batch, and an interrupted or aborted run
@@ -13,6 +19,7 @@ set -euo pipefail
 BUILD="${1:-build}"
 RESULTS_ROOT="${2:-results}"
 TIMEOUT_SECS="${RM_BENCH_TIMEOUT:-900}"
+SRC_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
 if [ ! -d "$BUILD/bench" ]; then
     echo "error: $BUILD/bench not found — build first:" >&2
@@ -20,9 +27,8 @@ if [ ! -d "$BUILD/bench" ]; then
     exit 1
 fi
 
-# Every figure/table bench must exist: a missing binary means a broken
-# build (or a renamed bench nobody updated here), not something to skip.
-REQUIRED=(
+# The figure/table benches write a BenchReport with --json.
+REPORTS=(
     fig01_liveness_timeline
     fig02_two_warp_example
     fig07_occupancy_boost
@@ -35,8 +41,21 @@ REQUIRED=(
     fig13_acquire_success
     table1_workloads
 )
+BENCHES=()
+for src in "$SRC_ROOT"/bench/*.cc; do
+    BENCHES+=("$(basename "$src" .cc)")
+done
+
+# Every bench must exist: a missing binary means a broken build, and a
+# report bench with no source was renamed without updating REPORTS.
 missing=0
-for name in "${REQUIRED[@]}"; do
+for name in "${REPORTS[@]}"; do
+    if [ ! -f "$SRC_ROOT/bench/$name.cc" ]; then
+        echo "error: report bench has no source: $SRC_ROOT/bench/$name.cc" >&2
+        missing=1
+    fi
+done
+for name in "${BENCHES[@]}"; do
     if [ ! -x "$BUILD/bench/$name" ]; then
         echo "error: required bench binary missing: $BUILD/bench/$name" >&2
         missing=1
@@ -142,18 +161,16 @@ run_bench() {
     echo
 }
 
-for name in "${REQUIRED[@]}"; do
+for name in "${REPORTS[@]}"; do
     run_bench "$name" "$BUILD/bench/$name" --json "$OUTDIR/$name.json"
 done
 
 # Benches with no figure/table report still run.
-for b in "$BUILD"/bench/*; do
-    [ -f "$b" ] && [ -x "$b" ] || continue
-    name="$(basename "$b")"
-    for req in "${REQUIRED[@]}"; do
-        [ "$name" = "$req" ] && continue 2
+for name in "${BENCHES[@]}"; do
+    for report in "${REPORTS[@]}"; do
+        [ "$name" = "$report" ] && continue 2
     done
-    run_bench "$name" "$b"
+    run_bench "$name" "$BUILD/bench/$name"
 done
 
 # Every bench was at least attempted: the batch is complete (even if

@@ -1,10 +1,6 @@
 #include "sim/trace.hh"
 
-#include <iomanip>
-#include <ostream>
-
 #include "common/errors.hh"
-#include "isa/disasm.hh"
 
 namespace rm {
 
@@ -51,30 +47,6 @@ IssueTrace::kindName(TraceKind kind)
       case TraceKind::Restore: return "restore";
     }
     return "?";
-}
-
-void
-IssueTrace::dump(std::ostream &os, const Program &program) const
-{
-    // Always lead with the bookkeeping so silent ring-buffer eviction
-    // is visible in truncated dumps.
-    os << "# issue trace: " << count << " of " << recorded
-       << " recorded events retained";
-    if (recorded > count)
-        os << " (" << (recorded - count) << " oldest evicted)";
-    os << "\n";
-    for (const TraceEvent &event : events()) {
-        os << std::setw(9) << event.cycle << "  w" << std::setw(2)
-           << std::left << event.warpSlot << std::right << " cta"
-           << std::setw(3) << event.ctaId << "  " << std::setw(11)
-           << kindName(event.kind) << "  ";
-        if (event.pc >= 0 &&
-            event.pc < static_cast<int>(program.code.size())) {
-            os << std::setw(4) << event.pc << ": "
-               << disassemble(program.code[event.pc]);
-        }
-        os << "\n";
-    }
 }
 
 } // namespace rm

@@ -6,17 +6,13 @@
  * Issue-stage event trace for debugging and for visualizing the
  * Fig. 2-style warp timelines: a bounded ring buffer of
  * (cycle, warp, pc, event) records the SM appends to when a trace is
- * attached (ObsSinks::trace). Dumping renders one line per event
- * with the disassembled instruction — the moral equivalent of gem5's
- * Exec tracing, bounded so long runs cannot exhaust memory.
+ * attached (ObsSinks::trace), bounded so long runs cannot exhaust
+ * memory. obs/export.hh renders it as a Chrome trace.
  */
 
+#include <cstddef>
 #include <cstdint>
-#include <iosfwd>
-#include <string>
 #include <vector>
-
-#include "isa/program.hh"
 
 namespace rm {
 
@@ -58,12 +54,6 @@ class IssueTrace
 
     std::size_t size() const { return count; }
     std::uint64_t totalRecorded() const { return recorded; }
-
-    /**
-     * Render the retained events, one per line, resolving PCs against
-     * @p program for disassembly.
-     */
-    void dump(std::ostream &os, const Program &program) const;
 
     /** Human-readable kind name. */
     static const char *kindName(TraceKind kind);

@@ -44,6 +44,14 @@ const WorkloadEntry &workload(const std::string &name);
 /** Build the kernel program of a suite workload. */
 Program buildWorkload(const std::string &name);
 
+/**
+ * Load the kernel a command-line target names: a path ending in
+ * ".asm" is parsed as assembly, "-" reads assembly from stdin, and any
+ * other target is a suite workload name. Throws FatalError on an
+ * unknown name, an unreadable file or malformed assembly.
+ */
+Program loadKernel(const std::string &target);
+
 /** Names of the 8 occupancy-limited workloads (Fig. 7 / 9a / 10-13). */
 std::vector<std::string> occupancyLimitedSet();
 

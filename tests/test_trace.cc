@@ -6,8 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "common/errors.hh"
 #include "core/experiment.hh"
 #include "sim/trace.hh"
@@ -63,13 +61,10 @@ class TracedRun : public ::testing::Test
         config = gtx480Config();
         RunOptions options;
         options.gpu.obs.trace = &trace;
-        program = runPolicy("regmutex", buildWorkload("BFS"), config,
-                            options)
-                      .compile.program;
+        runPolicy("regmutex", buildWorkload("BFS"), config, options);
     }
 
     GpuConfig config;
-    Program program;
     IssueTrace trace{1 << 20};
 };
 
@@ -118,15 +113,6 @@ TEST_F(TracedRun, EventsAreChronological)
         EXPECT_GE(event.cycle, last);
         last = event.cycle;
     }
-}
-
-TEST_F(TracedRun, DumpRendersDisassembly)
-{
-    std::ostringstream os;
-    trace.dump(os, program);
-    const std::string text = os.str();
-    EXPECT_NE(text.find("issue"), std::string::npos);
-    EXPECT_NE(text.find("cta-launch"), std::string::npos);
 }
 
 } // namespace

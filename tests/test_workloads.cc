@@ -4,15 +4,20 @@
  * its declared (Table I) register demand, the occupancy-limitation
  * grouping holds on the right architecture, and the |Es| heuristic
  * reproduces Table I's base-set sizes (LavaMD excepted — see
- * EXPERIMENTS.md).
+ * EXPERIMENTS.md). loadKernel, the command-line kernel loader, builds
+ * the same programs from names and assembly files.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <fstream>
 
 #include "analysis/cfg.hh"
 #include "analysis/liveness.hh"
 #include "common/errors.hh"
 #include "compiler/pipeline.hh"
+#include "isa/asm_parser.hh"
 #include "sim/interpreter.hh"
 #include "sim/occupancy.hh"
 #include "workloads/suite.hh"
@@ -87,6 +92,12 @@ TEST_P(SuiteWorkload, ScrambleChangesLayoutNotSemantics)
     EXPECT_EQ(la.maxLiveCount(), lb.maxLiveCount());
 }
 
+TEST_P(SuiteWorkload, LoadKernelBuildsTheWorkload)
+{
+    EXPECT_EQ(emitProgram(loadKernel(GetParam())),
+              emitProgram(buildWorkload(GetParam())));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllWorkloads, SuiteWorkload,
     ::testing::ValuesIn([] {
@@ -117,6 +128,24 @@ TEST(Suite, SixteenWorkloadsInTableOrder)
 TEST(Suite, UnknownWorkloadFatals)
 {
     EXPECT_THROW(workload("NoSuchKernel"), FatalError);
+}
+
+TEST(LoadKernel, AsmFileLoadsBackEqual)
+{
+    const std::string text = emitProgram(buildWorkload("SAD"));
+    const std::string path =
+        ::testing::TempDir() + "rm_load_kernel_sad.asm";
+    std::ofstream(path) << text;
+    const std::string loaded = emitProgram(loadKernel(path));
+    std::remove(path.c_str());
+    EXPECT_EQ(loaded, text);
+}
+
+TEST(LoadKernel, UnknownNameOrMissingFileFatals)
+{
+    EXPECT_THROW(loadKernel("NOPE"), FatalError);
+    EXPECT_THROW(loadKernel(::testing::TempDir() + "rm_no_such_kernel.asm"),
+                 FatalError);
 }
 
 TEST(Generator, RejectsInconsistentSpecs)
