@@ -28,11 +28,6 @@
  *                            on the policy's compiled program before
  *                            simulating; error findings abort the run
  *                            with exit status 4
- *   --profile PATH           self-profile the run (obs/profiler.hh):
- *                            print the host-side phase breakdown table
- *                            and write the span timeline to PATH as a
- *                            Chrome trace (distinct from --chrome-trace,
- *                            which records *simulated* issue slots)
  *   --half-rf | --es N | --lrr | --poll | --list
  *
  * Fault injection (docs/ROBUSTNESS.md; all cycles are simulated):
@@ -59,18 +54,21 @@
  * with --restore to continue it.
  *
  * The summary table also reports the compiled |Bs|/|Es| split (policies
- * that run the RegMutex compiler) and the normalized register-file
- * energy (regmutex/energy.hh). A deadlocked or watchdog-expired run
+ * that run the RegMutex compiler), the normalized register-file energy
+ * (regmutex/energy.hh) and the cycles the engine stepped one at a time
+ * rather than skipped (host work; summed over SMs, and a --restore run
+ * counts only its own). A deadlocked or watchdog-expired run
  * prints the hang forensics (embedded under "hang" in the JSON
  * document) and exits nonzero.
  *
- * Exit-code contract (uniform across the --lint / --snapshot /
- * --profile flows; scripts and CI match on these):
+ * Exit-code contract (uniform across the --lint and --snapshot
+ * flows; scripts and CI match on these):
  *   0  run completed; every requested artifact was written
  *   1  fatal failure: deadlock, watchdog expiry, I/O, or a kernel that
  *      cannot be loaded (unknown workload name, unreadable file, bad
  *      assembly)
- *   2  usage error (unknown flag, missing or malformed value)
+ *   2  usage error (unknown flag, missing, malformed or out-of-range
+ *      value)
  *   3  preempted by a run-control limit; snapshot kept, resumable
  *   4  the --lint static gate found error-severity findings
  *
@@ -80,6 +78,7 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -115,7 +114,7 @@ usage()
            "  --sms N | --threads N\n"
            "  --json PATH | --csv PATH | --chrome-trace PATH\n"
            "  --sample-interval N | --trace-capacity N | --pretty\n"
-           "  --lint | --profile PATH\n"
+           "  --lint\n"
            "  --half-rf | --es N | --lrr | --poll | --list\n"
            "  --fault-deny-acquire FROM:UNTIL\n"
            "  --fault-delay-release FROM:UNTIL:DELAY\n"
@@ -153,6 +152,19 @@ splitNumbers(const std::string &arg, const std::string &text, std::size_t n)
         exit(usage());
     }
     return parts;
+}
+
+/** @p v narrowed to @p T; a value past T's range exits with usage. */
+template <typename T>
+T
+narrow(const std::string &arg, std::uint64_t v)
+{
+    constexpr auto max = std::numeric_limits<T>::max();
+    if (v > static_cast<std::uint64_t>(max)) {
+        std::cerr << arg << " is out of range (at most " << max << ")\n";
+        exit(usage());
+    }
+    return static_cast<T>(v);
 }
 
 void
@@ -228,7 +240,7 @@ main(int argc, char **argv)
 
     std::string allocator_name = "regmutex";
     std::string target;
-    std::string json_path, csv_path, chrome_path, profile_path;
+    std::string json_path, csv_path, chrome_path;
     std::uint64_t sample_interval = 1000;
     std::size_t trace_capacity = 1u << 20;
     int sms = 1;
@@ -281,23 +293,21 @@ main(int argc, char **argv)
         } else if (arg == "--trace-capacity") {
             trace_capacity = nextNumber();
         } else if (arg == "--sms") {
-            sms = static_cast<int>(nextNumber());
+            sms = narrow<int>(arg, nextNumber());
             if (sms < 1) {
                 std::cerr << "--sms needs at least 1 SM\n";
                 return usage();
             }
         } else if (arg == "--threads") {
-            threads = static_cast<int>(nextNumber());
+            threads = narrow<int>(arg, nextNumber());
         } else if (arg == "--pretty") {
             pretty = true;
         } else if (arg == "--lint") {
             lint = true;
-        } else if (arg == "--profile") {
-            profile_path = next();
         } else if (arg == "--half-rf") {
             config = halfRegisterFile(config);
         } else if (arg == "--es") {
-            compile_options.forcedEs = static_cast<int>(nextNumber());
+            compile_options.forcedEs = narrow<int>(arg, nextNumber());
         } else if (arg == "--lrr") {
             config.schedPolicy = SchedPolicy::Lrr;
         } else if (arg == "--poll") {
@@ -312,11 +322,11 @@ main(int argc, char **argv)
         } else if (arg == "--fault-shrink-srp") {
             const auto v = splitNumbers(arg, next(), 2);
             fault.shrinkSrpAtCycle = v[0];
-            fault.shrinkSrpSections = static_cast<int>(v[1]);
+            fault.shrinkSrpSections = narrow<int>(arg, v[1]);
         } else if (arg == "--fault-mem-spike") {
             const auto v = splitNumbers(arg, next(), 3);
             fault.memSpike = {v[0], v[1]};
-            fault.memSpikeFactor = static_cast<int>(v[2]);
+            fault.memSpikeFactor = narrow<int>(arg, v[2]);
         } else if (arg == "--fault-corrupt") {
             fault.corruptStateAtCycle = nextNumber();
         } else if (arg == "--max-cycles") {
@@ -345,8 +355,7 @@ main(int argc, char **argv)
         } else if (arg == "--fault-seed") {
             fault.seed = nextNumber();
         } else if (arg == "--watchdog") {
-            config.watchdogCycles =
-                static_cast<long long>(nextNumber());
+            config.watchdogCycles = narrow<long long>(arg, nextNumber());
         } else if (arg == "--list") {
             for (const auto &entry : paperSuite())
                 std::cout << entry.spec.name << "\n";
@@ -437,17 +446,8 @@ main(int argc, char **argv)
             run_options.gpu.resume = std::make_shared<GpuSnapshot>(
                 readSnapshotFile(restore_path));
 
-        // Self-profiling brackets exactly the simulation; compile and
-        // artifact assembly stay outside the measured window.
-        if (!profile_path.empty())
-            Profiler::enable();
         const PolicyRun run =
             runPolicy(*policy, program, config, run_options);
-        ProfReport profile;
-        if (!profile_path.empty()) {
-            profile = Profiler::report();
-            Profiler::disable();
-        }
         const SimStats &stats = run.stats();
         // The policy's executed program (OWF already has its directives
         // stripped) so trace PCs disassemble correctly.
@@ -486,11 +486,6 @@ main(int argc, char **argv)
             writeFile(csv_path, samplerToCsv(sampler));
         if (!chrome_path.empty())
             writeFile(chrome_path, chromeTrace(trace, executed));
-        if (!profile_path.empty()) {
-            writeFile(profile_path, profileChromeTrace(profile));
-            std::cout << "\nhost-span profile:\n"
-                      << profileTable(profile);
-        }
 
         if (pretty) {
             std::cout << prettyPrint(document) << "\n";
@@ -512,6 +507,8 @@ main(int argc, char **argv)
                         " SRP sections");
             }
             add("cycles", std::to_string(stats.cycles));
+            add("cycles stepped",
+                std::to_string(run.result.steppedCycles));
             add("instructions", std::to_string(stats.instructions));
             add("IPC", fixed(stats.ipc(), 3));
             add("theoretical occupancy",
@@ -561,7 +558,6 @@ main(int argc, char **argv)
         report("Chrome trace (open in chrome://tracing or "
                "ui.perfetto.dev)",
                chrome_path);
-        report("host-span Chrome trace", profile_path);
         if (stats.deadlocked && stats.hang)
             std::cerr << "\n" << stats.hang->summary() << "\n";
         if (!run.result.completed()) {

@@ -7,8 +7,6 @@
 #include <string>
 #include <utility>
 
-#include "obs/profiler.hh"
-
 namespace rm {
 
 ThreadPool::ThreadPool(int threads)
@@ -47,11 +45,6 @@ ThreadPool::workerLoop()
     for (;;) {
         std::function<void()> task;
         {
-            // Wait-vs-run attribution: the wait span covers queue
-            // sleep plus dequeue, the run span the task body. A span
-            // open across enable()/disable() is dropped, so an idle
-            // worker never smears a stale wait into a session.
-            RM_PROF_SCOPE(ProfPhase::PoolTaskWait);
             std::unique_lock<std::mutex> lock(mutex);
             cv.wait(lock, [this] { return stopping || !queue.empty(); });
             if (queue.empty())
@@ -59,10 +52,7 @@ ThreadPool::workerLoop()
             task = std::move(queue.front());
             queue.pop_front();
         }
-        {
-            RM_PROF_SCOPE(ProfPhase::PoolTaskRun);
-            task();
-        }
+        task();
     }
 }
 

@@ -13,7 +13,6 @@
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "core/checkpoint.hh"
-#include "obs/profiler.hh"
 #include "sim/snapshot.hh"
 #include "workloads/suite.hh"
 
@@ -162,7 +161,6 @@ runSweep(const std::vector<SweepCase> &cases, const SweepOptions &options)
 
             const PolicySpec &policy = *policies.at(c.policy);
             try {
-                RM_PROF_SCOPE_ARG(ProfPhase::SweepCompile, i);
                 out.compile = policy.compile(programs.at(c.workload),
                                              c.config, c.compileOptions);
             } catch (const std::exception &e) {
@@ -175,7 +173,6 @@ runSweep(const std::vector<SweepCase> &cases, const SweepOptions &options)
             // suite can already prove broken (a held barrier would
             // simulate for millions of cycles before deadlocking).
             if (options.lint) {
-                RM_PROF_SCOPE_ARG(ProfPhase::SweepLint, i);
                 LintOptions lint_options;
                 lint_options.config = &c.config;
                 lint_options.disabledChecks = policy.lintSuppressions;
@@ -256,9 +253,6 @@ runSweep(const std::vector<SweepCase> &cases, const SweepOptions &options)
                 if (attempt > 0)
                     gpu.resume = nullptr;
                 try {
-                    // One span per attempt, so the count doubles as an
-                    // attempt counter in the profile.
-                    RM_PROF_SCOPE_ARG(ProfPhase::SweepSim, i);
                     out.run = simulateGpu(c.config, out.compile.program,
                                           policy.allocator, gpu);
                 } catch (const SnapshotError &e) {
@@ -315,10 +309,7 @@ runSweep(const std::vector<SweepCase> &cases, const SweepOptions &options)
                 out.status = SweepStatus::Ok;
                 out.error.clear();
                 out.diagnosis = nullptr;
-                {
-                    RM_PROF_SCOPE_ARG(ProfPhase::SweepCheckpoint, i);
-                    checkpoint.record(key, out.run.aggregate);
-                }
+                checkpoint.record(key, out.run.aggregate);
                 if (!snap_path.empty())
                     std::remove(snap_path.c_str());
                 return;

@@ -1,6 +1,5 @@
 #include "isa/disasm.hh"
 
-#include <iomanip>
 #include <sstream>
 
 namespace rm {
@@ -47,26 +46,6 @@ disassemble(const Instruction &inst)
 
     if (inst.isBranch())
         sep() << "-> " << inst.target;
-    return os.str();
-}
-
-std::string
-disassemble(const Program &program)
-{
-    std::ostringstream os;
-    os << "// kernel " << program.info.name
-       << ": regs=" << program.info.numRegs
-       << " ctaThreads=" << program.info.ctaThreads
-       << " gridCtas=" << program.info.gridCtas;
-    if (program.regmutex.enabled()) {
-        os << " |Bs|=" << program.regmutex.baseRegs
-           << " |Es|=" << program.regmutex.extRegs;
-    }
-    os << "\n";
-    for (std::size_t i = 0; i < program.code.size(); ++i) {
-        os << std::setw(5) << i << ": " << disassemble(program.code[i])
-           << "\n";
-    }
     return os.str();
 }
 

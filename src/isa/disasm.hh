@@ -3,8 +3,8 @@
 
 /**
  * @file
- * Textual rendering of instructions and programs, used by the compiler
- * inspector example and by test failure diagnostics.
+ * Textual rendering of one instruction, used by lint and validator
+ * diagnostics, hang forensics, trace export and the assembly emitter.
  */
 
 #include <string>
@@ -15,12 +15,6 @@ namespace rm {
 
 /** Render a single instruction, e.g. "iadd r3, r1, r2". */
 std::string disassemble(const Instruction &inst);
-
-/**
- * Render a whole program, one instruction per line with indices and
- * branch targets, e.g. "  12: bra.nz r5, -> 4".
- */
-std::string disassemble(const Program &program);
 
 } // namespace rm
 

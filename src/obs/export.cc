@@ -624,62 +624,4 @@ chromeTrace(const IssueTrace &trace, const Program &program)
     return w.take();
 }
 
-std::string
-profileChromeTrace(const ProfReport &report)
-{
-    JsonWriter w;
-    w.beginObject();
-    w.key("displayTimeUnit").value("ms");
-    w.key("traceEvents").beginArray();
-    {
-        w.beginObject();
-        w.key("ph").value("M");
-        w.key("pid").value(0);
-        w.key("name").value("process_name");
-        w.key("args").beginObject();
-        w.key("name").value("rm-prof host spans");
-        w.endObject();
-        w.endObject();
-    }
-    std::map<std::uint32_t, bool> named;
-    for (const ProfSpanRecord &span : report.spans) {
-        if (!named[span.thread]) {
-            named[span.thread] = true;
-            w.beginObject();
-            w.key("ph").value("M");
-            w.key("pid").value(0);
-            w.key("tid").value(static_cast<std::uint64_t>(span.thread));
-            w.key("name").value("thread_name");
-            w.key("args").beginObject();
-            w.key("name").value("host thread " +
-                                std::to_string(span.thread));
-            w.endObject();
-            w.endObject();
-        }
-        const ProfPhase phase = static_cast<ProfPhase>(span.phase);
-        std::string name = profPhaseName(phase);
-        if (span.arg >= 0)
-            name += " #" + std::to_string(span.arg);
-        w.beginObject();
-        w.key("ph").value("X");
-        w.key("pid").value(0);
-        w.key("tid").value(static_cast<std::uint64_t>(span.thread));
-        w.key("name").value(name);
-        w.key("cat").value("host");
-        // trace_event timestamps are microseconds; keep sub-us detail.
-        w.key("ts").value(static_cast<double>(span.beginNs) / 1e3);
-        w.key("dur").value(
-            static_cast<double>(span.endNs - span.beginNs) / 1e3);
-        w.endObject();
-    }
-    w.endArray();
-    w.key("otherData").beginObject();
-    w.key("wall_ns").value(report.wallNs);
-    w.key("threads").value(report.threads);
-    w.key("dropped_spans").value(report.droppedSpans);
-    w.endObject();
-    w.endObject();
-    return w.take();
-}
-
 } // namespace rm

@@ -26,7 +26,6 @@
 #include "analysis/lint.hh"
 #include "obs/json.hh"
 #include "obs/metrics.hh"
-#include "obs/profiler.hh"
 #include "obs/sampler.hh"
 #include "sim/diagnosis.hh"
 #include "sim/stats.hh"
@@ -113,15 +112,6 @@ std::string lintReportToSarif(const Program &program,
  * the window are closed at the last retained cycle + 1.
  */
 std::string chromeTrace(const IssueTrace &trace, const Program &program);
-
-/**
- * The report's host-side span timeline as a Chrome trace_event JSON
- * document (chrome://tracing, ui.perfetto.dev). One track per
- * recording thread; slice names are phase names, with the span's arg
- * (SM id, sweep cell index) attached when set. Nanoseconds map to
- * trace microseconds.
- */
-std::string profileChromeTrace(const ProfReport &report);
 
 } // namespace rm
 

@@ -5,7 +5,6 @@
 
 #include "common/errors.hh"
 #include "common/thread_pool.hh"
-#include "obs/profiler.hh"
 #include "sim/memory.hh"
 #include "sim/sm.hh"
 
@@ -32,7 +31,6 @@ ctasPerSmShare(const GpuConfig &config, const Program &program)
 SimStats
 mergeSmStats(const std::vector<SimStats> &per_sm)
 {
-    RM_PROF_SCOPE(ProfPhase::GpuMerge);
     fatalIf(per_sm.empty(), "mergeSmStats: no per-SM statistics");
 
     // Identity and per-SM capacity figures are uniform across SMs;
@@ -102,6 +100,8 @@ struct SmCell
     /** Final stats once finished (in this run or in the resume
      *  snapshot). Live cells read Sm::currentStats() instead. */
     SimStats finishedStats;
+    /** Cycles this run's legs stepped (Sm::steppedCycles). */
+    std::uint64_t stepped = 0;
     PreparedAllocator prepared;
     std::unique_ptr<GlobalMemory> gmem;
     std::unique_ptr<Sm> sm;
@@ -188,7 +188,6 @@ Gpu::run()
     // analysis), its memory partition and the Sm, restored from the
     // resume snapshot when there is one.
     auto build = [&](int sm_id, SmCell &cell) {
-        RM_PROF_SCOPE_ARG(ProfPhase::GpuCellBuild, sm_id);
         cell.prepared = factory(config, program);
         fatalIf(!cell.prepared.allocator,
                 "Gpu: allocator factory returned null");
@@ -271,7 +270,6 @@ Gpu::run()
                     return;
                 if (!cell.sm)
                     build(sm_id, cell);
-                RM_PROF_SCOPE_ARG(ProfPhase::GpuSmRun, sm_id);
                 RunControl leg = options.control;
                 if (options.snapshotEvery > 0) {
                     const std::uint64_t target =
@@ -281,6 +279,7 @@ Gpu::run()
                                         : std::min(leg.maxCycles, target);
                 }
                 cell.outcome = cell.sm->runControlled(leg);
+                cell.stepped = cell.sm->steppedCycles();
                 if (!cell.outcome.preempted)
                     cell.finish();
             },
@@ -327,9 +326,11 @@ Gpu::run()
         break;
     }
 
-    for (int i = 0; i < sms; ++i)
-        result.perSm[static_cast<std::size_t>(i)] =
-            cells[static_cast<std::size_t>(i)].stats();
+    for (int i = 0; i < sms; ++i) {
+        const SmCell &cell = cells[static_cast<std::size_t>(i)];
+        result.perSm[static_cast<std::size_t>(i)] = cell.stats();
+        result.steppedCycles += cell.stepped;
+    }
     result.aggregate = mergeSmStats(result.perSm);
     return result;
 }

@@ -166,6 +166,13 @@ struct GpuResult
     SimStats aggregate;
     /** One entry per simulated SM, in SM-id order. */
     std::vector<SimStats> perSm;
+    /**
+     * Host work: the cycles this run's legs stepped one at a time,
+     * summed over SMs (Sm::steppedCycles). Skip-ahead accounts for the
+     * rest, and a resumed run counts only its own legs. Not simulated
+     * state, so it is in neither SimStats nor any snapshot.
+     */
+    std::uint64_t steppedCycles = 0;
 
     Status status = Status::Completed;
     /** Which limit fired (None when status == Completed). */

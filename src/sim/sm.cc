@@ -6,7 +6,6 @@
 
 #include "common/errors.hh"
 #include "isa/disasm.hh"
-#include "obs/profiler.hh"
 #include "sim/occupancy.hh"
 #include "sim/sanitizer.hh"
 
@@ -349,7 +348,6 @@ Sm::releaseBarrier(ResidentCta &cta)
 void
 Sm::issue(int slot)
 {
-    RM_PROF_SCOPE(ProfPhase::SmIssue);
     SimWarp &warp = warps.warp(slot);
     const int pc = warps.pc(slot);
     const Instruction &inst = program.code[pc];
@@ -367,7 +365,6 @@ Sm::issue(int slot)
                 ++stats.faultEvents;
                 outcome = AcquireOutcome::Blocked;
             } else {
-                RM_PROF_SCOPE(ProfPhase::SmAcqRel);
                 outcome = allocator.acquire(warp);
             }
             if (outcome != AcquireOutcome::AlreadyHeld)
@@ -425,10 +422,7 @@ Sm::issue(int slot)
                                      warp.launchOrder});
                 return;
             }
-            {
-                RM_PROF_SCOPE(ProfPhase::SmAcqRel);
-                allocator.release(warp);
-            }
+            allocator.release(warp);
             ++stats.releases;
             if (trace) {
                 trace->record(TraceEvent{cycle, slot, warp.ctaId,
@@ -863,13 +857,12 @@ Sm::runControlled(const RunControl &control)
                 finishStats();
                 return SmRunOutcome{true, PreemptReason::WallDeadline};
             }
-            if (control.sanitize) {
-                RM_PROF_SCOPE(ProfPhase::SmSanitize);
+            if (control.sanitize)
                 auditEpoch();
-            }
         }
 
         ++cycle;
+        ++stepped;
         // Fault injection: one-shot capacity shrink once its cycle is
         // reached (the policy revokes what it can immediately and
         // defers the rest to release time).
@@ -885,28 +878,13 @@ Sm::runControlled(const RunControl &control)
             if (allocator.faultCorruptState())
                 ++stats.faultEvents;
         }
-        {
-            RM_PROF_SCOPE(ProfPhase::SmEvents);
-            processEvents();
-        }
-        {
-            RM_PROF_SCOPE(ProfPhase::SmMemDispatch);
-            dispatchMemQueue();
-        }
-        {
-            RM_PROF_SCOPE(ProfPhase::SmWake);
-            wakeParked();
-        }
+        processEvents();
+        dispatchMemQueue();
+        wakeParked();
         const std::uint64_t issued_before = stats.issuedSlots;
-        {
-            RM_PROF_SCOPE(ProfPhase::SmSchedule);
-            for (int s = 0; s < config.numSchedulers; ++s)
-                schedule(s);
-        }
-        {
-            RM_PROF_SCOPE(ProfPhase::SmWake);
-            wakeParked();
-        }
+        for (int s = 0; s < config.numSchedulers; ++s)
+            schedule(s);
+        wakeParked();
         residentIntegral += aliveWarps;
         if (cycle == nextSampleCycle)
             takeSample();

@@ -99,6 +99,14 @@ class Sm
     /** Simulated cycles completed so far (resume bookkeeping). */
     std::uint64_t currentCycle() const { return cycle; }
 
+    /**
+     * Cycles the loop executed one at a time since construction;
+     * skip-ahead accounted for the rest. Host work, not simulated
+     * state: neither SimStats nor the snapshot carries it, so a
+     * restored Sm counts from zero.
+     */
+    std::uint64_t steppedCycles() const { return stepped; }
+
     /** Statistics as of the last completed run leg (finishStats has
      *  run whenever runControlled returned). */
     const SimStats &currentStats() const { return stats; }
@@ -205,6 +213,7 @@ class Sm
     };
 
     std::uint64_t cycle = 0;
+    std::uint64_t stepped = 0;           ///< see steppedCycles()
     std::uint64_t launchCounter = 0;
     WarpStore warps;                     ///< SoA hot state + cold fields
     std::vector<ResidentCta> ctas;       ///< indexed by ctaSlot

@@ -14,7 +14,7 @@ WarpStore::reset(int slots, int num_regs, const IssueCheckMeta *meta,
     regCount_ = num_regs;
     regStride_ = static_cast<std::size_t>(num_regs);
 
-    cold_.assign(static_cast<std::size_t>(slots), SimWarp{});
+    cold_.assign(static_cast<std::size_t>(slots), SimWarp());
     for (int slot = 0; slot < slots; ++slot)
         cold_[asIdx(slot)].slot = slot;
     state_.assign(static_cast<std::size_t>(slots),

@@ -7,8 +7,9 @@
  * loop; see tests/make_engine_goldens.cc); this suite replays the same
  * grid on the current engine and demands identical statsToJson
  * documents, identical results with skip-ahead disabled (with and
- * without a sampler attached), and a bit-exact resume from a mid-run
- * snapshot.
+ * without a sampler attached), a bit-exact resume from a mid-run
+ * snapshot, and an exact count of the cycles the loop stepped rather
+ * than skipped.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +24,6 @@
 #include "core/experiment.hh"
 #include "obs/export.hh"
 #include "obs/metrics.hh"
-#include "obs/profiler.hh"
 #include "obs/sampler.hh"
 #include "sim/config.hh"
 #include "sim/event_wheel.hh"
@@ -165,17 +165,12 @@ TEST(EngineEquivalence, SkipAheadOffIsBitIdentical)
     }
 }
 
-/**
- * A golden case run with a registry and sampler attached to SM 0,
- * counting the cycles the engine stepped through one by one (the
- * profiler's schedule passes; skipped cycles have none).
- */
+/** A golden case run with a registry and sampler attached to SM 0. */
 struct SampledRun
 {
     MetricsRegistry registry;
     Sampler sampler{registry, 250};
     PolicyRun run;
-    std::uint64_t steppedCycles = 0;
 
     explicit SampledRun(const Case &c)
     {
@@ -185,12 +180,7 @@ struct SampledRun
             options.gpu.fault = goldenFaultPlan();
         options.gpu.obs.metrics = &registry;
         options.gpu.obs.sampler = &sampler;
-        Profiler::enable();
         run = runPolicy(c.policy, program, gtx480Config(), options);
-        const ProfReport profile = Profiler::report();
-        Profiler::disable();
-        steppedCycles =
-            profile.phases[static_cast<int>(ProfPhase::SmSchedule)].count;
     }
 };
 
@@ -211,8 +201,10 @@ TEST(EngineEquivalence, SampledRunsSkipAheadBitIdentically)
         EXPECT_EQ(statsToJson(fast.run.stats()), goldenStats().at(c.key))
             << c.key;
         EXPECT_EQ(fast.run.stats(), slow->run.stats()) << c.key;
-        EXPECT_LT(fast.steppedCycles, fast.run.stats().cycles) << c.key;
-        EXPECT_EQ(slow->steppedCycles, slow->run.stats().cycles) << c.key;
+        EXPECT_LT(fast.run.result.steppedCycles, fast.run.stats().cycles)
+            << c.key;
+        EXPECT_EQ(slow->run.result.steppedCycles, slow->run.stats().cycles)
+            << c.key;
         EXPECT_EQ(fast.sampler.samples().size(),
                   fast.run.stats().cycles / fast.sampler.interval())
             << c.key;
@@ -228,6 +220,68 @@ TEST(EngineEquivalence, SampledRunsSkipAheadBitIdentically)
                 << c.key << " sample at cycle " << a.cycle;
         }
     }
+}
+
+/** BFS/regmutex on the 4-SM machine of the full4 golden cases. */
+PolicyRun
+runFull4(int threads, RunOptions options = {})
+{
+    Program program = buildWorkload("BFS");
+    program.info.gridCtas = 13;
+    GpuConfig config = gtx480Config();
+    config.numSms = 4;
+    options.gpu.mode = GpuOptions::Mode::FullMachine;
+    options.gpu.threads = threads;
+    return runPolicy("regmutex", program, config, options);
+}
+
+std::uint64_t
+sumSmCycles(const GpuResult &result)
+{
+    std::uint64_t total = 0;
+    for (const SimStats &sm : result.perSm)
+        total += sm.cycles;
+    return total;
+}
+
+TEST(SteppedCycles, SkipAheadOffStepsEveryCycle)
+{
+    SkipAheadGuard guard(false);
+    const PolicyRun run = runFull4(1);
+    ASSERT_TRUE(run.result.completed());
+    EXPECT_EQ(run.result.steppedCycles, sumSmCycles(run.result));
+}
+
+TEST(SteppedCycles, SkipAheadStepsFewerCyclesAtAnyThreadCount)
+{
+    const PolicyRun serial = runFull4(1);
+    const PolicyRun pooled = runFull4(8);
+    ASSERT_TRUE(serial.result.completed());
+    ASSERT_TRUE(pooled.result.completed());
+    EXPECT_LT(serial.result.steppedCycles, sumSmCycles(serial.result));
+    EXPECT_EQ(serial.result.steppedCycles, pooled.result.steppedCycles);
+}
+
+TEST(SteppedCycles, ResumedRunCountsOnlyItsOwnLegs)
+{
+    // Every SM is cut at exactly C, so the first run steps C per SM
+    // and the resumed one steps the remaining cycles - C.
+    SkipAheadGuard guard(false);
+    constexpr std::uint64_t kCut = 2500;
+    RunOptions cut;
+    cut.gpu.control.maxCycles = kCut;
+    const PolicyRun first = runFull4(1, cut);
+    ASSERT_FALSE(first.result.completed());
+    for (const SimStats &sm : first.result.perSm)
+        ASSERT_EQ(sm.cycles, kCut);
+    EXPECT_EQ(first.result.steppedCycles, kCut * 4);
+
+    RunOptions resume;
+    resume.gpu.resume = first.result.snapshot;
+    const PolicyRun second = runFull4(1, resume);
+    ASSERT_TRUE(second.result.completed());
+    EXPECT_EQ(second.result.steppedCycles,
+              sumSmCycles(second.result) - kCut * 4);
 }
 
 TEST(EngineEquivalence, MidRunSnapshotUsesCurrentCodec)
