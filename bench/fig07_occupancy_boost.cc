@@ -33,9 +33,8 @@ main(int argc, char **argv)
         sweepGrid(workloads, {"baseline", "regmutex"},
                   {{"GTX480", config}}),
         sweep);
-    reportSweepFailures(results, std::cerr);
-    if (const int status = sweepExitStatus(results); status != 0)
-        return status;
+    if (reportSweepFailures(results, std::cerr) > 0)
+        return 1;
 
     Table table({"Application", "Exec. cycle red.", "Init. occupancy",
                  "Occ. w/ RegMutex", "|Bs|", "|Es|", "Acq. success"});

@@ -44,9 +44,8 @@ main(int argc, char **argv)
         grid.push_back(c);
     }
     const std::vector<SweepResult> results = runSweep(grid, sweep);
-    reportSweepFailures(results, std::cerr);
-    if (const int status = sweepExitStatus(results); status != 0)
-        return status;
+    if (reportSweepFailures(results, std::cerr) > 0)
+        return 1;
 
     Table table({"Application", "Incr. w/o RegMutex", "Incr. w/ RegMutex",
                  "Occupancy w/o", "Occupancy w/", "|Bs|", "|Es|"});

@@ -31,9 +31,8 @@ main(int argc, char **argv)
         sweepGrid(workloads, {"baseline", "owf", "rfv", "regmutex"},
                   {{"GTX480", config}}),
         sweep);
-    reportSweepFailures(results, std::cerr);
-    if (const int status = sweepExitStatus(results); status != 0)
-        return status;
+    if (reportSweepFailures(results, std::cerr) > 0)
+        return 1;
 
     Table table({"Application", "OWF", "RFV", "RegMutex"});
     double owf_total = 0.0, rfv_total = 0.0, rmx_total = 0.0;

@@ -48,9 +48,8 @@ main(int argc, char **argv)
         }
     }
     const std::vector<SweepResult> results = runSweep(grid, sweep);
-    reportSweepFailures(results, std::cerr);
-    if (const int status = sweepExitStatus(results); status != 0)
-        return status;
+    if (reportSweepFailures(results, std::cerr) > 0)
+        return 1;
 
     Table table({"Application", "No Technique", "OWF", "RFV",
                  "RegMutex"});

@@ -22,7 +22,8 @@
  *   --chrome-trace PATH      Chrome trace_event JSON; open the file in
  *                            chrome://tracing or https://ui.perfetto.dev
  *   --sample-interval N      cycles between samples (default 1000)
- *   --trace-capacity N       retained trace events (default 1M)
+ *   --trace-capacity N       events the --chrome-trace ring retains
+ *                            (1 to 2^24, default 1M)
  *   --pretty                 pretty-print the JSON document to stdout
  *   --lint                   run the rm-lint suite (docs/ANALYSIS.md)
  *                            on the policy's compiled program before
@@ -127,6 +128,26 @@ usage()
     return 2;
 }
 
+/** Largest --trace-capacity: 2^24 events of 24 B each. */
+constexpr std::size_t kMaxTraceCapacity = std::size_t{1} << 24;
+
+/**
+ * @p text as a decimal uint64: digits only, since std::stoull alone
+ * would accept a sign or leading blanks and wrap "-1" to 2^64 - 1.
+ */
+std::optional<std::uint64_t>
+parseUnsigned(const std::string &text)
+{
+    if (text.empty() ||
+        text.find_first_not_of("0123456789") != std::string::npos)
+        return std::nullopt;
+    try {
+        return std::stoull(text);
+    } catch (const std::out_of_range &) {
+        return std::nullopt;
+    }
+}
+
 /** Split "a:b:c" into exactly @p n numbers; exits with usage on error. */
 std::vector<std::uint64_t>
 splitNumbers(const std::string &arg, const std::string &text, std::size_t n)
@@ -135,16 +156,12 @@ splitNumbers(const std::string &arg, const std::string &text, std::size_t n)
     std::stringstream ss(text);
     std::string item;
     while (std::getline(ss, item, ':')) {
-        try {
-            std::size_t used = 0;
-            const std::uint64_t v = std::stoull(item, &used);
-            if (used != item.size())
-                throw std::invalid_argument(item);
-            parts.push_back(v);
-        } catch (const std::exception &) {
+        const std::optional<std::uint64_t> v = parseUnsigned(item);
+        if (!v) {
             parts.clear();
             break;
         }
+        parts.push_back(*v);
     }
     if (parts.size() != n) {
         std::cerr << arg << " needs " << n
@@ -267,13 +284,8 @@ main(int argc, char **argv)
         };
         auto nextNumber = [&]() -> std::uint64_t {
             const std::string text = next();
-            try {
-                std::size_t used = 0;
-                const std::uint64_t v = std::stoull(text, &used);
-                if (used == text.size())
-                    return v;
-            } catch (const std::exception &) {
-            }
+            if (const std::optional<std::uint64_t> v = parseUnsigned(text))
+                return *v;
             std::cerr << arg << " needs a number, got '" << text
                       << "'\n";
             exit(usage());
@@ -292,6 +304,11 @@ main(int argc, char **argv)
             sample_interval = nextNumber();
         } else if (arg == "--trace-capacity") {
             trace_capacity = nextNumber();
+            if (trace_capacity < 1 || trace_capacity > kMaxTraceCapacity) {
+                std::cerr << "--trace-capacity must be in [1, "
+                          << kMaxTraceCapacity << "]\n";
+                return usage();
+            }
         } else if (arg == "--sms") {
             sms = narrow<int>(arg, nextNumber());
             if (sms < 1) {
@@ -373,15 +390,17 @@ main(int argc, char **argv)
     try {
         const Program program = loadKernel(target);
 
-        // The full observability stack: registry + sampler + trace.
+        // The observability stack: registry + sampler, plus the trace
+        // ring (trace_capacity events, allocated up front) only when
+        // --chrome-trace will render it.
         MetricsRegistry registry;
         Sampler sampler(registry, sample_interval);
-        IssueTrace trace(trace_capacity);
+        std::optional<IssueTrace> trace;
         ObsSinks obs;
         obs.metrics = &registry;
         obs.sampler = &sampler;
         if (!chrome_path.empty())
-            obs.trace = &trace;
+            obs.trace = &trace.emplace(trace_capacity);
 
         const PolicySpec *policy =
             PolicyRegistry::instance().find(allocator_name);
@@ -484,8 +503,8 @@ main(int argc, char **argv)
             writeFile(json_path, document);
         if (!csv_path.empty())
             writeFile(csv_path, samplerToCsv(sampler));
-        if (!chrome_path.empty())
-            writeFile(chrome_path, chromeTrace(trace, executed));
+        if (trace)
+            writeFile(chrome_path, chromeTrace(*trace, executed));
 
         if (pretty) {
             std::cout << prettyPrint(document) << "\n";

@@ -119,13 +119,8 @@ SLOW=()
 # Fault isolation: one failing bench must not silence the rest. Every
 # bench runs; failures are collected and summarized at the end, and the
 # script exits nonzero if any failed. Exit 124 from timeout is reported
-# as such — a hang is a different bug than a wrong result. Exit 3 is
-# the sweep "preempted, resumable" contract (sweepExitStatus): cells
-# hit a run-control budget and left snapshots, so the bench is listed
-# as resumable, not failed — rerun with the same --snapshot-dir /
-# --checkpoint to finish it.
+# as such — a hang is a different bug than a wrong result.
 FAILED=()
-RESUMABLE=()
 run_bench() {
     local name="$1"; shift
     echo "==================================================================="
@@ -151,9 +146,6 @@ run_bench() {
     if [ "$status" -eq 124 ] || [ "$status" -eq 137 ]; then
         echo "** $name TIMED OUT after ${TIMEOUT_SECS}s (exit $status)" >&2
         FAILED+=("$name (timeout)")
-    elif [ "$status" -eq 3 ]; then
-        echo "** $name RESUMABLE (preempted; snapshots kept — rerun to finish)" >&2
-        RESUMABLE+=("$name")
     elif [ "$status" -ne 0 ]; then
         echo "** $name FAILED (exit $status)" >&2
         FAILED+=("$name")
@@ -186,15 +178,6 @@ if [ "${#SLOW[@]}" -ne 0 ]; then
     done
 fi
 
-if [ "${#RESUMABLE[@]}" -ne 0 ]; then
-    echo "===================================================================" >&2
-    echo "${#RESUMABLE[@]} bench(es) preempted but RESUMABLE (not failed):" >&2
-    for name in "${RESUMABLE[@]}"; do
-        echo "  RESUME  $name" >&2
-    done
-    echo "Rerun with the same snapshot/checkpoint paths to finish them." >&2
-fi
-
 if [ "${#FAILED[@]}" -ne 0 ]; then
     echo "===================================================================" >&2
     echo "${#FAILED[@]} bench(es) FAILED:" >&2
@@ -203,13 +186,6 @@ if [ "${#FAILED[@]}" -ne 0 ]; then
     done
     echo "Reports for passing benches are in $OUTDIR." >&2
     exit 1
-fi
-
-if [ "${#RESUMABLE[@]}" -ne 0 ]; then
-    # Preempted-only batches exit with the same resumable contract the
-    # benches themselves use: nonzero (the batch is not complete) but
-    # distinguishable from a failure.
-    exit 3
 fi
 
 echo "All benches passed; reports in $OUTDIR:"

@@ -98,7 +98,6 @@ AcquireState::compute(const Program &program, const Cfg &cfg)
 
     AcquireState result;
     result.program = &program;
-    result.blockIns = solved.in;
     result.blockOuts = solved.out;
     result.instIns.assign(program.code.size(), HoldState::Unreached);
     for (const BasicBlock &block : cfg.blocks()) {

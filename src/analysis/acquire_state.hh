@@ -44,9 +44,6 @@ class AcquireState
     /** Compute hold states for @p program over @p cfg. */
     static AcquireState compute(const Program &program, const Cfg &cfg);
 
-    /** State at the entry of block @p block. */
-    HoldState blockIn(int block) const { return blockIns[block]; }
-
     /** State at the exit of block @p block. */
     HoldState blockOut(int block) const { return blockOuts[block]; }
 
@@ -57,7 +54,6 @@ class AcquireState
     HoldState after(int inst) const;
 
   private:
-    std::vector<HoldState> blockIns;
     std::vector<HoldState> blockOuts;
     std::vector<HoldState> instIns;
     const Program *program = nullptr;

@@ -31,9 +31,6 @@ class Table
     /** Append a fully rendered row (size must match the header). */
     void addRow(std::vector<std::string> cells);
 
-    std::size_t numRows() const { return rows.size(); }
-    std::size_t numColumns() const { return headers.size(); }
-
     /** Cell accessor (for tests). */
     const std::string &cell(std::size_t row, std::size_t col) const;
 

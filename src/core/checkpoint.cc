@@ -14,8 +14,24 @@
 
 namespace rm {
 
-JsonlCheckpoint::JsonlCheckpoint(std::string path, int fsync_every)
-    : path(std::move(path)), fsyncEvery(fsync_every)
+namespace {
+
+/** The record line for (@p key, @p stats), newline excluded. */
+std::string
+recordLine(const std::string &key, const SimStats &stats)
+{
+    JsonWriter w;
+    w.beginObject();
+    w.key("key").value(key);
+    w.key("stats");
+    statsToJson(w, stats);
+    w.endObject();
+    return w.take();
+}
+
+} // namespace
+
+JsonlCheckpoint::JsonlCheckpoint(std::string path) : path(std::move(path))
 {
     if (this->path.empty())
         return;
@@ -33,10 +49,21 @@ JsonlCheckpoint::JsonlCheckpoint(std::string path, int fsync_every)
             const JsonValue doc = parseJson(line);
             const JsonValue *key = doc.find("key");
             const JsonValue *stats = doc.find("stats");
-            if (key && stats) {
-                restored[key->string] = statsFromJson(*stats);
-                ++replayedCount;
+            if (!key || !stats)
+                continue;
+            SimStats restored_stats = statsFromJson(*stats);
+            if (recordLine(key->string, restored_stats) != line) {
+                // A key missing from (or unknown to) this build's
+                // SimStats would restore as a default: ignore the
+                // record, so the cell simulates unless a later line
+                // restores it.
+                warn("checkpoint '", this->path, "': ignoring line ",
+                     i + 1, " (cell '", key->string,
+                     "'): its statistics do not match this build's");
+                continue;
             }
+            restored[key->string] = std::move(restored_stats);
+            ++replayedCount;
         } catch (const std::exception &) {
             // Records are appended and flushed atomically, so the only
             // expected damage is a torn final line from a run killed
@@ -68,13 +95,7 @@ JsonlCheckpoint::record(const std::string &key, const SimStats &stats)
 {
     if (path.empty())
         return;
-    JsonWriter w;
-    w.beginObject();
-    w.key("key").value(key);
-    w.key("stats");
-    statsToJson(w, stats);
-    w.endObject();
-    std::string line = w.take();
+    std::string line = recordLine(key, stats);
     line.push_back('\n');
 
     const std::lock_guard<std::mutex> lock(guard);
@@ -82,8 +103,9 @@ JsonlCheckpoint::record(const std::string &key, const SimStats &stats)
     // a single write(2): O_APPEND makes the line land whole, so a
     // concurrent reader (or a kill between records) sees complete
     // lines only, and at worst one torn trailing line — which the
-    // loader tolerates. Failures are loud: a full disk must fail the
-    // caller instead of silently dropping acknowledged records.
+    // loader tolerates. The fsync makes the record survive a host
+    // crash. Failures are loud: a full disk must fail the caller
+    // instead of silently dropping acknowledged records.
     const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT,
                           0644);
     fatalIf(fd < 0, "checkpoint: cannot append to '", path, "'");
@@ -97,10 +119,7 @@ JsonlCheckpoint::record(const std::string &key, const SimStats &stats)
         }
         done += static_cast<std::size_t>(n);
     }
-    ++appends;
-    if (fsyncEvery > 0 && appends % static_cast<std::uint64_t>(
-                                        fsyncEvery) == 0 &&
-        ::fsync(fd) != 0) {
+    if (::fsync(fd) != 0) {
         ::close(fd);
         fatal("checkpoint: fsync of '", path, "' failed");
     }

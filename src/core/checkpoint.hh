@@ -11,14 +11,13 @@
  * Appends are written as one whole line per system write so a reader
  * (or a kill between records) sees complete lines only; the loader
  * tolerates exactly one torn trailing line from a run killed
- * mid-append. With fsyncEvery > 0 every Nth append is additionally
- * fsync'd, so recorded cells survive a host crash — not just a
- * process kill. fsyncEvery = 1 makes every record durable; 0 keeps the
- * seed behaviour (flush to the kernel, no fsync) for throwaway sweep
- * checkpoints.
+ * mid-append. Every append is fsync'd, so recorded cells survive a
+ * host crash, not just a process kill. A record is restored only if
+ * it re-encodes to the same line: one written before a SimStats field
+ * was added would otherwise restore that field as zero, so it is
+ * warned about and its cell simulated again.
  */
 
-#include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
@@ -34,10 +33,10 @@ class JsonlCheckpoint
     /**
      * Open @p path (empty disables the store entirely) and replay any
      * existing records into the in-memory index. A torn trailing line
-     * is warned about and dropped; earlier unparsable lines are warned
-     * about and skipped.
+     * is warned about and dropped; earlier unparsable lines and stale
+     * records (see the file comment) are warned about and skipped.
      */
-    explicit JsonlCheckpoint(std::string path, int fsync_every = 0);
+    explicit JsonlCheckpoint(std::string path);
 
     bool enabled() const { return !path.empty(); }
 
@@ -58,8 +57,6 @@ class JsonlCheckpoint
 
   private:
     std::string path;
-    int fsyncEvery = 0;
-    std::uint64_t appends = 0;
     std::map<std::string, SimStats> restored;
     std::size_t replayedCount = 0;
     std::mutex guard;

@@ -62,9 +62,9 @@ enum class SweepStatus {
     Ok,             ///< simulation completed
     CompileFailed,  ///< workload build / policy lookup / compile threw
     LintFailed,     ///< compiled program failed the static lint suite
-    SimFailed,      ///< the simulation threw a non-hang error
+    SimFailed,      ///< the simulation threw a non-hang error or was
+                    ///< preempted by a caller-set gpu.control limit
     Deadlocked,     ///< declared deadlock or watchdog expiry
-    Preempted,      ///< stopped by a RunControl limit; snapshot kept
 };
 
 /** Stable lower-case label ("ok", "compile-failed", ...). */
@@ -82,18 +82,14 @@ struct SweepOptions
     /**
      * Per-case engine options. The default (Representative mode,
      * gpu.threads = 1) matches the seed benches; switch mode to
-     * FullMachine for real multi-SM runs. Observability sinks are
-     * ignored here — per-case sinks cannot be shared across parallel
-     * cells; use runPolicy() directly to instrument a single run.
+     * FullMachine for real multi-SM runs. Per-run state is stripped
+     * from every cell: observability sinks (they cannot be shared
+     * across parallel cells; use runPolicy() directly to instrument a
+     * single run) and engine snapshots (resume, snapshotSink,
+     * snapshotEvery; the checkpoint is the sweep's only durable
+     * record). A cell that a gpu.control limit preempts is SimFailed.
      */
     GpuOptions gpu;
-    /**
-     * Extra simulation attempts after a SimFailed/Deadlocked cell (0 =
-     * fail immediately). Each retry reseeds memory deterministically
-     * (base seed + attempt index), so retried sweeps stay reproducible.
-     * Compile failures never retry — they are deterministic.
-     */
-    int retries = 0;
     /**
      * Run the static lint suite (analysis/lint.hh) over every cell's
      * compiled program before simulating it; a cell with any
@@ -104,35 +100,17 @@ struct SweepOptions
      */
     bool lint = true;
     /**
-     * JSONL checkpoint path; empty disables checkpointing. Every Ok
-     * cell appends (and flushes) one line as it completes, and a
-     * re-run with the same path restores matching cells (by
-     * sweepCaseKey) instead of simulating them again. A torn trailing
-     * line from a killed run is warned about and dropped. Restored
-     * cells have fromCheckpoint set and an empty per-SM breakdown
-     * (only the aggregate is persisted).
+     * JSONL checkpoint path (core/checkpoint.hh); empty disables
+     * checkpointing. Every Ok cell appends and fsyncs one line as it
+     * completes, and a re-run with the same path restores matching
+     * cells (by sweepCaseKey) instead of simulating them again. A torn
+     * trailing line from a killed run is warned about and dropped, and
+     * a record whose statistics do not re-encode to the same text (a
+     * stats schema change) is warned about and simulated again.
+     * Restored cells have fromCheckpoint set and an empty per-SM
+     * breakdown (only the aggregate is persisted).
      */
     std::string checkpointPath;
-    /**
-     * fsync the checkpoint file after every Nth appended record (0,
-     * the default, keeps the seed behaviour: flushed to the kernel but
-     * not fsync'd, so a *host* crash — not just a killed process — can
-     * lose trailing records). fsyncEvery = 1 (--fsync-every 1) makes
-     * every recorded cell durable.
-     */
-    int fsyncEvery = 0;
-    /**
-     * Directory for per-cell engine snapshots (sim/snapshot.hh); empty
-     * disables them. Each cell writes <dir>/<key-hash>.snap — on every
-     * gpu.snapshotEvery boundary and when preempted — and a later
-     * sweep with the same directory resumes the cell from that file
-     * instead of restarting it (the file is removed once the cell
-     * completes). Works together with gpu.control: bound a sweep with
-     * a cycle budget / wall deadline and the interrupted cells carry
-     * their progress into the next run. A stale or mismatched snapshot
-     * is warned about, deleted, and the cell restarts fresh.
-     */
-    std::string snapshotDir;
 };
 
 /** One cell's outcome; results[i] corresponds to cases[i]. */
@@ -147,8 +125,6 @@ struct SweepResult
     std::string error;
     /** Hang forensics for Deadlocked cells; null otherwise. */
     std::shared_ptr<const HangDiagnosis> diagnosis;
-    /** Simulation attempts performed (0: compile failed / restored). */
-    int attempts = 0;
     /** True when restored from the checkpoint instead of simulated. */
     bool fromCheckpoint = false;
 
@@ -172,29 +148,19 @@ std::vector<SweepResult> runSweep(const std::vector<SweepCase> &cases,
 
 /**
  * Stable identity of a cell for checkpointing: workload, policy, arch,
- * a fingerprint of the GpuConfig, compile options and fault plan.
- * Cells that would simulate differently get different keys.
+ * the GpuConfig's gpuConfigDigest (sim/snapshot.hh), the compile
+ * options and the fault plan. Cells that would simulate differently
+ * get different keys.
  */
 std::string sweepCaseKey(const SweepCase &spec);
 
 /**
  * Print a summary table of the non-Ok cells to @p out (nothing when
- * all cells passed) and return the number of *failed* cells. Preempted
- * cells are not failures: they are listed in a separate "resumable"
- * section — their snapshots carry the progress into the next run —
- * and do not count toward the returned total.
+ * all cells passed) and return their number. A sweep bench exits 1
+ * when it is nonzero.
  */
 int reportSweepFailures(const std::vector<SweepResult> &results,
                         std::ostream &out);
-
-/**
- * Exit status a sweep-driven bench should propagate, matching the
- * rm-inspect contract (docs/OBSERVABILITY.md): 0 when every cell
- * completed, 3 when cells were preempted but none failed (resumable —
- * rerun with the same --checkpoint/--snapshot-dir to finish), 1 when
- * any cell actually failed.
- */
-int sweepExitStatus(const std::vector<SweepResult> &results);
 
 /**
  * Cross-product helper: one case per (workload, policy, config),
@@ -211,31 +177,20 @@ sweepGrid(const std::vector<std::string> &workloads,
  * Shared bench command-line handling for the sweep-driven benches:
  * `--sms N` selects a full-machine run with N SMs (N = 1 keeps the
  * representative seed model), `--threads N` caps sweep parallelism
- * (0 = shared pool width), `--retries N` re-runs failed cells, and
- * `--checkpoint PATH` enables the JSONL resume file (with
- * `--fsync-every N` fsyncing it every Nth record). Run-control
- * flags: `--max-cycles N` bounds every cell's simulated clock,
- * `--wall-deadline SECONDS` preempts cells still running when the
- * wall-clock budget expires, `--sanitize` audits register accounting
- * every epoch, `--no-lint` skips the pre-simulation lint gate, and
- * `--snapshot-every N` with `--snapshot-dir DIR` persists per-cell
- * snapshots so an interrupted sweep resumes instead of restarting.
- * Unrecognized arguments are ignored so it composes with BenchReport's
- * `--json`.
+ * (0 = shared pool width), `--checkpoint PATH` enables the JSONL
+ * resume file, `--sanitize` audits register accounting every epoch,
+ * and `--no-lint` skips the pre-simulation lint gate. BenchReport's
+ * `--json PATH` is passed over. Any other argument, or a missing or
+ * malformed value, is a usage error: it is printed to stderr and the
+ * process exits 2, as BenchReport does for a bare `--json`.
  */
 struct SweepCli
 {
     int sms = 1;
     int threads = 0;
-    int retries = 0;
     std::string checkpoint;
-    int fsyncEvery = 0;
-    std::uint64_t maxCycles = 0;
-    double wallDeadlineSeconds = 0.0;
     bool sanitize = false;
     bool noLint = false;
-    std::uint64_t snapshotEvery = 0;
-    std::string snapshotDir;
 
     SweepCli(int argc, char *const *argv);
 

@@ -33,9 +33,6 @@ class ProgramBuilder
     /** Bind @p label to the next emitted instruction. */
     void bind(Label label);
 
-    /** Index the next emitted instruction will have. */
-    std::size_t nextIndex() const { return code.size(); }
-
     // --- Integer ALU ---
     void iadd(RegId d, RegId a, RegId b) { emit3(Opcode::IAdd, d, a, b); }
     void isub(RegId d, RegId a, RegId b) { emit3(Opcode::ISub, d, a, b); }

@@ -109,7 +109,6 @@ class PairedRegMutexAllocator : public RegisterAllocator
 
     int baseRegs() const { return bs; }
     int extRegs() const { return es; }
-    int numPairs() const { return pairs; }
 
   private:
     bool enabled = false;

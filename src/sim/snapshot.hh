@@ -134,11 +134,6 @@ struct RunControl
     /** Audit register-accounting invariants every epoch. */
     bool sanitize = false;
 
-    bool anyLimit() const
-    {
-        return maxCycles > 0 || hasWallDeadline;
-    }
-
     bool epochWork() const { return hasWallDeadline || sanitize; }
 
     /** This control with a deadline @p seconds of wall time from now. */

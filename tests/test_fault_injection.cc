@@ -1,7 +1,7 @@
 /**
  * @file
  * Deterministic fault injection (sim/fault.hh), hang forensics
- * (sim/diagnosis.hh) and the sweep runner's fault isolation, retry and
+ * (sim/diagnosis.hh) and the sweep runner's fault isolation and
  * checkpoint-resume machinery. These tests drive the robustness layer
  * on demand — denied acquires, delayed releases, capacity shrinks,
  * memory-latency spikes — instead of hoping a workload wedges.
@@ -302,7 +302,7 @@ TEST(Forensics, StatsJsonRoundTripsThroughStatsFromJson)
     EXPECT_EQ(statsToJson(original), statsToJson(restored));
 }
 
-// --- Sweep fault isolation / retry / resume --------------------------
+// --- Sweep fault isolation / resume ---------------------------------
 
 std::vector<SweepCase>
 cleanGrid()
@@ -339,7 +339,6 @@ TEST(SweepIsolation, FaultedCellIsReportedOthersBitIdentical)
     EXPECT_FALSE(results[2].error.empty());
     ASSERT_TRUE(results[2].diagnosis);
     EXPECT_GT(results[2].diagnosis->blockedAcquire, 0);
-    EXPECT_EQ(results[2].attempts, 1);
 
     const std::vector<SweepResult> clean = runSweep(cleanGrid());
     for (std::size_t i = 0; i < clean.size(); ++i) {
@@ -369,21 +368,8 @@ TEST(SweepIsolation, BadWorkloadAndPolicyPoisonOnlyTheirCells)
     EXPECT_NE(results[2].error.find("NoSuchKernel"), std::string::npos);
     EXPECT_EQ(results[3].status, SweepStatus::CompileFailed);
     EXPECT_FALSE(results[3].error.empty());
-    // Compile failures never simulate, so no attempts are recorded.
-    EXPECT_EQ(results[2].attempts, 0);
-}
-
-TEST(SweepIsolation, RetriesAreBoundedAndCounted)
-{
-    // A deterministic fault deadlocks on every attempt: the runner
-    // must retry exactly `retries` extra times and then give up.
-    SweepOptions options;
-    options.retries = 2;
-    const std::vector<SweepResult> results =
-        runSweep({faultedCell()}, options);
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_EQ(results[0].status, SweepStatus::Deadlocked);
-    EXPECT_EQ(results[0].attempts, 3);
+    // Compile failures never simulate, so no SM ran.
+    EXPECT_TRUE(results[2].run.perSm.empty());
 }
 
 TEST(SweepIsolation, ReportSweepFailuresCountsAndPrints)
@@ -433,7 +419,7 @@ TEST(SweepCheckpoint, ResumeSkipsCompletedCellsAndRerunsFailures)
     const std::vector<SweepResult> second = runSweep(grid, options);
     EXPECT_TRUE(second[0].fromCheckpoint);
     EXPECT_TRUE(second[1].fromCheckpoint);
-    EXPECT_EQ(second[0].attempts, 0);
+    EXPECT_TRUE(second[0].run.perSm.empty());
     // Restored aggregates match the originally simulated ones.
     EXPECT_EQ(statsToJson(first[0].stats()),
               statsToJson(second[0].stats()));
@@ -441,9 +427,36 @@ TEST(SweepCheckpoint, ResumeSkipsCompletedCellsAndRerunsFailures)
               statsToJson(second[1].stats()));
     // The failed cell was not checkpointed: it simulates again.
     EXPECT_FALSE(second[2].fromCheckpoint);
-    EXPECT_EQ(second[2].attempts, 1);
     EXPECT_EQ(second[2].status, SweepStatus::Deadlocked);
 
+    std::remove(path.c_str());
+}
+
+TEST(SweepCheckpoint, StaleRecordIsSimulatedAgain)
+{
+    // A record that lacks a SimStats key (as one written before that
+    // field existed does) must not restore the field as zero.
+    const std::string path =
+        ::testing::TempDir() + "rm_sweep_stale_checkpoint.jsonl";
+    std::remove(path.c_str());
+    const std::vector<SweepCase> grid =
+        sweepGrid({"BFS"}, {"regmutex"}, {{"GTX480", gtx480Config()}});
+    SweepOptions options;
+    options.checkpointPath = path;
+    const std::vector<SweepResult> fresh = runSweep(grid, options);
+    ASSERT_TRUE(fresh[0].ok()) << fresh[0].error;
+
+    std::string record;
+    ASSERT_TRUE(std::getline(std::ifstream(path), record));
+    const std::size_t from = record.find("\"acquire_successes\":");
+    ASSERT_NE(from, std::string::npos);
+    record.erase(from, record.find(',', from) + 1 - from);
+    std::ofstream(path, std::ios::trunc) << record << '\n';
+
+    const std::vector<SweepResult> second = runSweep(grid, options);
+    ASSERT_TRUE(second[0].ok()) << second[0].error;
+    EXPECT_FALSE(second[0].fromCheckpoint);
+    EXPECT_EQ(second[0].stats(), fresh[0].stats());
     std::remove(path.c_str());
 }
 

@@ -130,7 +130,7 @@ TEST(Sweep, UnknownPolicyIsIsolatedAsCompileFailure)
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0].status, SweepStatus::CompileFailed);
     EXPECT_NE(results[0].error.find("no-such-policy"), std::string::npos);
-    EXPECT_EQ(results[0].attempts, 0);
+    EXPECT_TRUE(results[0].run.perSm.empty());
 }
 
 } // namespace

@@ -4,8 +4,8 @@
  * loudly on damage, preempted runs resume to SimStats bit-identical to
  * uninterrupted ones (for every policy, under fault plans, across
  * thread counts), the sanitizer passes clean runs and catches injected
- * state corruption within one epoch, and the sweep runner persists and
- * resumes preempted cells.
+ * state corruption within one epoch, and the sweep runner keeps its
+ * JSONL checkpoint as the only durable record of its cells.
  */
 
 #include <gtest/gtest.h>
@@ -706,38 +706,30 @@ TEST(Sanitizer, StaleStoreCompletionAfterSlotRelaunch)
 
 // --- Sweep integration ---
 
-TEST(SweepResume, PreemptedCellResumesFromSnapshotDir)
+TEST(SweepIsolation, ControlPreemptedCellIsSimFailedWithoutSnapshots)
 {
-    const std::string dir = testing::TempDir();
+    // The checkpoint is a sweep's only durable record: runSweep strips
+    // the engine's snapshot options from every cell, and a cell that a
+    // caller-set budget preempts is a failure, not a resumable state.
     const std::vector<SweepCase> grid =
         sweepGrid({"BFS"}, {"regmutex", "rfv"}, {{"GTX480",
                                                   gtx480Config()}});
-
-    SweepOptions clean;
-    clean.threads = 1;
-    const std::vector<SweepResult> reference = runSweep(grid, clean);
-    for (const SweepResult &r : reference)
-        ASSERT_TRUE(r.ok()) << r.error;
-
-    SweepOptions budgeted = clean;
-    budgeted.snapshotDir = dir;
-    budgeted.gpu.control.maxCycles = 2000;
-    const std::vector<SweepResult> cut = runSweep(grid, budgeted);
+    int delivered = 0;
+    SweepOptions options;
+    options.threads = 1;
+    options.gpu.control.maxCycles = 2000;
+    options.gpu.snapshotEvery = 500;
+    options.gpu.snapshotSink = [&delivered](const GpuSnapshot &) {
+        ++delivered;
+    };
+    // A resume image for another kernel would throw SnapshotError.
+    options.gpu.resume = std::make_shared<GpuSnapshot>();
+    const std::vector<SweepResult> cut = runSweep(grid, options);
     for (const SweepResult &r : cut) {
-        ASSERT_EQ(r.status, SweepStatus::Preempted) << r.error;
-        EXPECT_EQ(r.error,
-                  std::string("preempted: cycle-limit"));
+        EXPECT_EQ(r.status, SweepStatus::SimFailed);
+        EXPECT_EQ(r.error, "preempted: cycle-limit");
     }
-
-    SweepOptions resumed_options = clean;
-    resumed_options.snapshotDir = dir;
-    const std::vector<SweepResult> resumed =
-        runSweep(grid, resumed_options);
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-        ASSERT_TRUE(resumed[i].ok()) << resumed[i].error;
-        EXPECT_EQ(resumed[i].stats(), reference[i].stats())
-            << grid[i].policy;
-    }
+    EXPECT_EQ(delivered, 0);
 }
 
 TEST(SweepCheckpoint, TornTrailingLineIsDropped)
@@ -768,27 +760,27 @@ TEST(SweepCheckpoint, TornTrailingLineIsDropped)
 
 TEST(SweepCli, ParsesRunControlFlags)
 {
-    const char *argv[] = {"bench",           "--max-cycles",
-                          "5000",            "--wall-deadline",
-                          "2.5",             "--sanitize",
-                          "--snapshot-every", "1000",
-                          "--snapshot-dir",  "/tmp/snapdir"};
+    const char *argv[] = {"bench",        "--sms",        "4",
+                          "--threads",    "2",            "--checkpoint",
+                          "sweep.jsonl",  "--sanitize",   "--no-lint",
+                          "--json",       "report.json"};
     const SweepCli cli(static_cast<int>(std::size(argv)),
                        const_cast<char *const *>(argv));
-    EXPECT_EQ(cli.maxCycles, 5000u);
-    EXPECT_DOUBLE_EQ(cli.wallDeadlineSeconds, 2.5);
+    EXPECT_EQ(cli.sms, 4);
+    EXPECT_EQ(cli.threads, 2);
+    EXPECT_EQ(cli.checkpoint, "sweep.jsonl");
     EXPECT_TRUE(cli.sanitize);
-    EXPECT_EQ(cli.snapshotEvery, 1000u);
-    EXPECT_EQ(cli.snapshotDir, "/tmp/snapdir");
+    EXPECT_TRUE(cli.noLint);
 
     GpuConfig config = gtx480Config();
     SweepOptions options;
     cli.apply(config, options);
-    EXPECT_EQ(options.gpu.control.maxCycles, 5000u);
+    EXPECT_EQ(config.numSms, 4);
+    EXPECT_EQ(options.gpu.mode, GpuOptions::Mode::FullMachine);
+    EXPECT_EQ(options.threads, 2);
+    EXPECT_EQ(options.checkpointPath, "sweep.jsonl");
     EXPECT_TRUE(options.gpu.control.sanitize);
-    EXPECT_TRUE(options.gpu.control.hasWallDeadline);
-    EXPECT_EQ(options.gpu.snapshotEvery, 1000u);
-    EXPECT_EQ(options.snapshotDir, "/tmp/snapdir");
+    EXPECT_FALSE(options.lint);
 }
 
 } // namespace
