@@ -11,7 +11,9 @@
  * shows how much the seed-induced variation between SMs actually is.
  *
  * `--sms N` overrides the machine size (default: the config's 15);
- * `--threads N` caps the engine's SM-level parallelism.
+ * `--threads N` caps the engine's SM-level parallelism. The bench runs
+ * `runPolicy`, not a sweep, so the sweep-only flags `--checkpoint`,
+ * `--sanitize` and `--no-lint` are usage errors (exit 2).
  */
 
 #include <algorithm>
@@ -45,6 +47,13 @@ main(int argc, char **argv)
     using namespace rm;
     const GpuConfig config = gtx480Config();
     const SweepCli cli(argc, argv);
+    if (!cli.checkpoint.empty() || cli.sanitize || cli.noLint) {
+        std::cerr << argv[0]
+                  << ": --checkpoint, --sanitize and --no-lint apply "
+                     "to sweeps only\nusage: "
+                  << argv[0] << " [--sms N] [--threads N]\n";
+        return 2;
+    }
 
     GpuConfig machine = config;
     machine.numSms = cli.sms > 1 ? cli.sms : config.numSms;

@@ -1,5 +1,6 @@
 #include "core/checkpoint.hh"
 
+#include <cstdio>
 #include <fstream>
 #include <utility>
 #include <vector>
@@ -29,6 +30,32 @@ recordLine(const std::string &key, const SimStats &stats)
     return w.take();
 }
 
+/**
+ * Write all of @p data to the open descriptor @p fd, fsync and close
+ * it. Failures are loud: a full disk must fail the caller instead of
+ * silently dropping acknowledged records.
+ */
+void
+writeSynced(int fd, const std::string &data, const std::string &path)
+{
+    std::size_t done = 0;
+    while (done < data.size()) {
+        const ssize_t n =
+            ::write(fd, data.data() + done, data.size() - done);
+        if (n < 0) {
+            ::close(fd);
+            fatal("checkpoint: write to '", path, "' failed");
+        }
+        done += static_cast<std::size_t>(n);
+    }
+    if (::fsync(fd) != 0) {
+        ::close(fd);
+        fatal("checkpoint: fsync of '", path, "' failed");
+    }
+    fatalIf(::close(fd) != 0, "checkpoint: close of '", path,
+            "' failed");
+}
+
 } // namespace
 
 JsonlCheckpoint::JsonlCheckpoint(std::string path) : path(std::move(path))
@@ -41,10 +68,14 @@ JsonlCheckpoint::JsonlCheckpoint(std::string path) : path(std::move(path))
     std::vector<std::string> lines;
     for (std::string line; std::getline(in, line);)
         lines.push_back(std::move(line));
+    in.close();
+    std::string kept;  // the restored records' lines
+    std::size_t records = 0;
     for (std::size_t i = 0; i < lines.size(); ++i) {
         const std::string &line = lines[i];
         if (line.empty())
             continue;
+        ++records;
         try {
             const JsonValue doc = parseJson(line);
             const JsonValue *key = doc.find("key");
@@ -64,6 +95,8 @@ JsonlCheckpoint::JsonlCheckpoint(std::string path) : path(std::move(path))
             }
             restored[key->string] = std::move(restored_stats);
             ++replayedCount;
+            kept += line;
+            kept.push_back('\n');
         } catch (const std::exception &) {
             // Records are appended and flushed atomically, so the only
             // expected damage is a torn final line from a run killed
@@ -78,6 +111,18 @@ JsonlCheckpoint::JsonlCheckpoint(std::string path) : path(std::move(path))
                      "': skipping unparsable line ", i + 1);
         }
     }
+    if (replayedCount == records)
+        return;
+    // Keep only the restored lines, so each skipped line is warned
+    // about once. The new file is fsync'd as records are, then renamed
+    // over the old one in a single step.
+    const std::string tmp =
+        this->path + ".tmp." + std::to_string(::getpid());
+    const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    fatalIf(fd < 0, "checkpoint: cannot write '", tmp, "'");
+    writeSynced(fd, kept, tmp);
+    fatalIf(::rename(tmp.c_str(), this->path.c_str()) != 0,
+            "checkpoint: cannot rename '", tmp, "' to '", this->path, "'");
 }
 
 const SimStats *
@@ -104,27 +149,11 @@ JsonlCheckpoint::record(const std::string &key, const SimStats &stats)
     // concurrent reader (or a kill between records) sees complete
     // lines only, and at worst one torn trailing line — which the
     // loader tolerates. The fsync makes the record survive a host
-    // crash. Failures are loud: a full disk must fail the caller
-    // instead of silently dropping acknowledged records.
+    // crash.
     const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT,
                           0644);
     fatalIf(fd < 0, "checkpoint: cannot append to '", path, "'");
-    std::size_t done = 0;
-    while (done < line.size()) {
-        const ssize_t n =
-            ::write(fd, line.data() + done, line.size() - done);
-        if (n < 0) {
-            ::close(fd);
-            fatal("checkpoint: write to '", path, "' failed");
-        }
-        done += static_cast<std::size_t>(n);
-    }
-    if (::fsync(fd) != 0) {
-        ::close(fd);
-        fatal("checkpoint: fsync of '", path, "' failed");
-    }
-    fatalIf(::close(fd) != 0, "checkpoint: close of '", path,
-            "' failed");
+    writeSynced(fd, line, path);
 }
 
 } // namespace rm

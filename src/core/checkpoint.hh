@@ -15,7 +15,9 @@
  * host crash, not just a process kill. A record is restored only if
  * it re-encodes to the same line: one written before a SimStats field
  * was added would otherwise restore that field as zero, so it is
- * warned about and its cell simulated again.
+ * warned about and its cell simulated again. A load that skips any
+ * line rewrites the file with the restored lines only (fsync'd, then
+ * renamed into place), so a skipped line is warned about once.
  */
 
 #include <map>
@@ -34,11 +36,10 @@ class JsonlCheckpoint
      * Open @p path (empty disables the store entirely) and replay any
      * existing records into the in-memory index. A torn trailing line
      * is warned about and dropped; earlier unparsable lines and stale
-     * records (see the file comment) are warned about and skipped.
+     * records (see the file comment) are warned about and skipped, and
+     * the file is rewritten without them.
      */
     explicit JsonlCheckpoint(std::string path);
-
-    bool enabled() const { return !path.empty(); }
 
     /** Records replayed from an existing file at construction. */
     std::size_t replayed() const { return replayedCount; }

@@ -1354,17 +1354,11 @@ Sm::saveState(SnapshotWriter &w) const
     // Global memory as construction parameters + a store diff.
     w.i32(gmem.log2Words());
     w.u64(gmem.seed());
-    std::uint32_t dirty = 0;
-    for (std::size_t i = 0; i < gmem.sizeWords(); ++i) {
-        if (gmem.word(i) != gmem.initialWord(i))
-            ++dirty;
-    }
-    w.u32(dirty);
-    for (std::size_t i = 0; i < gmem.sizeWords(); ++i) {
-        if (gmem.word(i) != gmem.initialWord(i)) {
-            w.u64(static_cast<std::uint64_t>(i));
-            w.i64(gmem.word(i));
-        }
+    const std::vector<GlobalMemory::Word> changed = gmem.changedWords();
+    w.u32(static_cast<std::uint32_t>(changed.size()));
+    for (const GlobalMemory::Word &word : changed) {
+        w.u64(word.index);
+        w.i64(word.value);
     }
 
     // Policy state as a framed blob: a policy serialization bug shows
@@ -1592,8 +1586,7 @@ Sm::restoreState(SnapshotReader &r)
                             "mismatch");
     }
     // Reset to pristine contents, then replay the recorded stores.
-    for (std::size_t i = 0; i < gmem.sizeWords(); ++i)
-        gmem.store(i, gmem.initialWord(i));
+    gmem.reset();
     const std::uint32_t dirty = r.u32();
     for (std::uint32_t i = 0; i < dirty; ++i) {
         const std::uint64_t index = r.u64();

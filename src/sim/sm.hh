@@ -123,10 +123,11 @@ class Sm
     /**
      * Inverse of saveState. The Sm must have been constructed with the
      * same config/program/policy/ctas (validated via an identity
-     * header; throws SnapshotError on mismatch) and a pristine
-     * GlobalMemory of the same geometry and seed. Saved indices are
-     * range-checked and the warp/CTA bookkeeping audited, so a damaged
-     * image throws SnapshotError rather than corrupting the engine.
+     * header; throws SnapshotError on mismatch) and a GlobalMemory of
+     * the same geometry and seed, which is reset and then replays the
+     * saved store diff. Saved indices are range-checked and the
+     * warp/CTA bookkeeping audited, so a damaged image throws
+     * SnapshotError rather than corrupting the engine.
      */
     void restoreState(SnapshotReader &r);
 

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "core/checkpoint.hh"
 #include "core/experiment.hh"
 #include "core/sweep.hh"
 #include "obs/export.hh"
@@ -457,6 +458,21 @@ TEST(SweepCheckpoint, StaleRecordIsSimulatedAgain)
     ASSERT_TRUE(second[0].ok()) << second[0].error;
     EXPECT_FALSE(second[0].fromCheckpoint);
     EXPECT_EQ(second[0].stats(), fresh[0].stats());
+
+    // The second load dropped the stale line from the file, so a third
+    // load skips nothing: every line is a record it replays.
+    std::ifstream in(path);
+    std::size_t lines = 0;
+    for (std::string line; std::getline(in, line);)
+        if (!line.empty())
+            ++lines;
+    EXPECT_EQ(lines, grid.size());
+    EXPECT_EQ(JsonlCheckpoint(path).replayed(), lines);
+    const std::vector<SweepResult> third = runSweep(grid, options);
+    for (const SweepResult &r : third) {
+        EXPECT_TRUE(r.fromCheckpoint) << r.spec.workload;
+        EXPECT_EQ(r.stats(), fresh[0].stats());
+    }
     std::remove(path.c_str());
 }
 

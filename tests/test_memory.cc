@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "common/errors.hh"
+#include "common/rng.hh"
 #include "sim/memory.hh"
 #include "sim/semantics.hh"
 
@@ -51,6 +55,101 @@ TEST(GlobalMemory, RejectsBadSize)
 {
     EXPECT_THROW(GlobalMemory(1), FatalError);
     EXPECT_THROW(GlobalMemory(40), FatalError);
+}
+
+/** The digest of a full walk over every word of a dense memory. */
+std::uint64_t
+fullWalkDigest(const std::vector<std::int64_t> &words)
+{
+    std::uint64_t h = 0x2545f4914f6cdd1dULL;
+    for (std::size_t i = 0; i < words.size(); ++i)
+        h ^= detail::memoryMix(static_cast<std::uint64_t>(words[i]) + i);
+    return h;
+}
+
+/**
+ * The write-set against a dense reference array. The two take the
+ * same seeded random stores and loads, through addresses that wrap up
+ * to three times and with half of the stores writing a word's own
+ * initial value (often undoing an earlier store). Every load must read
+ * what the array reads. The snapshot diff must list exactly the words
+ * that differ from their initial values, by ascending index. The
+ * digest must move with the contents as a full walk's does. reset()
+ * must make the memory pristine again.
+ */
+TEST(GlobalMemory, WriteSetMatchesDenseModel)
+{
+    for (const int log2 : {4, 8, 12}) {
+        SCOPED_TRACE(log2);
+        const std::uint64_t seed = 40 + static_cast<std::uint64_t>(log2);
+        GlobalMemory mem(log2, seed);
+        const GlobalMemory pristine(log2, seed);
+        const std::size_t n = std::size_t{1} << log2;
+        std::vector<std::int64_t> initial(n);
+        for (std::size_t i = 0; i < n; ++i)
+            initial[i] = mem.initialWord(i);
+        std::vector<std::int64_t> dense = initial;
+
+        Rng rng(seed);
+        for (std::size_t op = 0; op < 8 * n; ++op) {
+            const auto addr = static_cast<std::uint64_t>(
+                rng.uniformInt(0, static_cast<std::int64_t>(4 * n) - 1));
+            const std::size_t index = addr & (n - 1);
+            switch (rng.uniformInt(0, 3)) {
+              case 0: {
+                const auto value = static_cast<std::int64_t>(rng.next());
+                mem.store(addr, value);
+                dense[index] = value;
+                break;
+              }
+              case 1:
+                mem.store(addr, initial[index]);
+                dense[index] = initial[index];
+                break;
+              default:
+                ASSERT_EQ(mem.load(addr), dense[index]) << "addr " << addr;
+            }
+        }
+        std::vector<GlobalMemory::Word> expected;
+        for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(mem.load(i), dense[i]) << "word " << i;
+            if (dense[i] != initial[i])
+                expected.push_back({i, dense[i]});
+        }
+        ASSERT_FALSE(expected.empty());
+        ASSERT_LT(expected.size(), n);
+
+        const std::vector<GlobalMemory::Word> changed = mem.changedWords();
+        ASSERT_EQ(changed.size(), expected.size());
+        for (std::size_t k = 0; k < changed.size(); ++k) {
+            EXPECT_EQ(changed[k].index, expected[k].index) << "entry " << k;
+            EXPECT_EQ(changed[k].value, expected[k].value) << "entry " << k;
+        }
+        EXPECT_EQ(mem.digest() ^ pristine.digest(),
+                  fullWalkDigest(dense) ^ fullWalkDigest(initial));
+        EXPECT_NE(mem.digest(), pristine.digest());
+
+        mem.reset();
+        EXPECT_TRUE(mem.changedWords().empty());
+        EXPECT_EQ(mem.digest(), pristine.digest());
+        for (std::size_t i = 0; i < n; ++i)
+            ASSERT_EQ(mem.load(i), initial[i]) << "word " << i;
+    }
+}
+
+TEST(GlobalMemory, LargestGeometryHoldsOnlyWhatIsStored)
+{
+    // 2^28 words would be 2 GiB held densely.
+    GlobalMemory mem(28, 3);
+    const std::uint64_t top = (std::uint64_t{1} << 28) - 1;
+    ASSERT_EQ(mem.sizeWords(), top + 1);
+    EXPECT_EQ(mem.load(top), mem.initialWord(top));
+    mem.store(top, -5);
+    EXPECT_EQ(mem.load(top), -5);
+    EXPECT_EQ(mem.load(2 * top + 1), -5);  // wraps onto the top word
+    const std::vector<GlobalMemory::Word> changed = mem.changedWords();
+    ASSERT_EQ(changed.size(), 1u);
+    EXPECT_EQ(changed[0].index, top);
 }
 
 TEST(SharedMemory, ZeroInitialisedAndWraps)

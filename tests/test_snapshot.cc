@@ -348,6 +348,52 @@ TEST(GpuSnapshotFormat, ShortRegisterImageIsRejected)
                  SnapshotError);
 }
 
+/** FNV-1a of @p bytes: a fingerprint that pins a cut's wire bytes. */
+std::uint64_t
+fingerprint(const std::string &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const unsigned char c : bytes) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/**
+ * Wire bytes are pinned, so a change to the codec, to the engine state
+ * it saves or to the store diff (the global-memory words that differ
+ * from their initial values, by ascending index) shows here. Any such
+ * change is a format version bump, re-pinned in the same change.
+ */
+TEST(SnapshotPins, BfsRegmutexCutAtCycle2500)
+{
+    RunOptions cut;
+    cut.gpu.control.maxCycles = 2500;
+    const PolicyRun run =
+        runPolicy("regmutex", buildWorkload("BFS"), gtx480Config(), cut);
+    ASSERT_NE(run.result.snapshot, nullptr);
+    const std::string bytes = run.result.snapshot->serialize();
+    EXPECT_EQ(bytes.size(), 21892u);
+    EXPECT_EQ(fingerprint(bytes), 0xe57ca74b7ea865c4ULL);
+}
+
+TEST(SnapshotPins, FullMachineBfsRegmutexCutAtCycle20000)
+{
+    GpuConfig machine = gtx480Config();
+    machine.numSms = 15;
+    RunOptions cut;
+    cut.gpu.mode = GpuOptions::Mode::FullMachine;
+    cut.gpu.threads = 2;
+    cut.gpu.control.maxCycles = 20000;
+    const PolicyRun run =
+        runPolicy("regmutex", buildWorkload("BFS"), machine, cut);
+    ASSERT_NE(run.result.snapshot, nullptr);
+    const std::string bytes = run.result.snapshot->serialize();
+    EXPECT_EQ(bytes.size(), 352694u);
+    EXPECT_EQ(fingerprint(bytes), 0x1b3fa4617fed8ebcULL);
+}
+
 TEST(GpuSnapshotFormat, FileRoundTripIsAtomic)
 {
     const std::string path = testing::TempDir() + "rm_snapshot_test.snap";
