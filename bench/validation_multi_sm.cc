@@ -12,13 +12,15 @@
  *
  * `--sms N` overrides the machine size (default: the config's 15);
  * `--threads N` caps the engine's SM-level parallelism. The bench runs
- * `runPolicy`, not a sweep, so the sweep-only flags `--checkpoint`,
- * `--sanitize` and `--no-lint` are usage errors (exit 2).
+ * `runPolicy`, not a sweep, and writes no BenchReport, so `--json`
+ * and the sweep-only flags `--checkpoint`, `--sanitize` and
+ * `--no-lint` are usage errors (exit 2).
  */
 
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
+#include <string_view>
 
 #include "common/table.hh"
 #include "core/sweep.hh"
@@ -47,10 +49,15 @@ main(int argc, char **argv)
     using namespace rm;
     const GpuConfig config = gtx480Config();
     const SweepCli cli(argc, argv);
-    if (!cli.checkpoint.empty() || cli.sanitize || cli.noLint) {
+    // SweepCli passes --json over for the benches that write a report.
+    const bool json = std::any_of(argv + 1, argv + argc, [](const char *a) {
+        return std::string_view(a) == "--json";
+    });
+    if (json || !cli.checkpoint.empty() || cli.sanitize || cli.noLint) {
         std::cerr << argv[0]
-                  << ": --checkpoint, --sanitize and --no-lint apply "
-                     "to sweeps only\nusage: "
+                  << ": writes no --json report, and --checkpoint, "
+                     "--sanitize and --no-lint apply to sweeps only\n"
+                     "usage: "
                   << argv[0] << " [--sms N] [--threads N]\n";
         return 2;
     }

@@ -21,6 +21,29 @@ passThrough(const Program &program, const GpuConfig &,
     return PolicyCompile{program, std::nullopt};
 }
 
+/** The RegMutex pipeline; the SMs execute its output with directives. */
+PolicyCompile
+compileWithDirectives(const Program &program, const GpuConfig &config,
+                      const CompileOptions &options)
+{
+    CompileResult compiled = compileRegMutex(program, config, options);
+    Program executed = compiled.program;
+    return PolicyCompile{std::move(executed), std::move(compiled)};
+}
+
+/** One SM's @p Allocator prepared over @p program, with its mapper. */
+template <typename Allocator>
+PreparedAllocator
+prepareMapped(const GpuConfig &config, const Program &program)
+{
+    auto allocator = std::make_unique<Allocator>();
+    allocator->prepare(config, program);
+    PreparedAllocator prepared;
+    prepared.mapper = allocator->makeMapper();
+    prepared.allocator = std::move(allocator);
+    return prepared;
+}
+
 PolicySpec
 baselinePolicy()
 {
@@ -28,14 +51,7 @@ baselinePolicy()
     spec.name = "baseline";
     spec.summary = "static exclusive per-warp allocation (paper Sec. II)";
     spec.compile = passThrough;
-    spec.allocator = [](const GpuConfig &config, const Program &program) {
-        auto allocator = std::make_unique<BaselineAllocator>();
-        allocator->prepare(config, program);
-        PreparedAllocator prepared;
-        prepared.mapper = allocator->makeMapper();
-        prepared.allocator = std::move(allocator);
-        return prepared;
-    };
+    spec.allocator = prepareMapped<BaselineAllocator>;
     return spec;
 }
 
@@ -45,20 +61,8 @@ regmutexPolicy()
     PolicySpec spec;
     spec.name = "regmutex";
     spec.summary = "pooled SRP time-sharing (paper Sec. III-B)";
-    spec.compile = [](const Program &program, const GpuConfig &config,
-                      const CompileOptions &options) {
-        CompileResult compiled = compileRegMutex(program, config, options);
-        Program executed = compiled.program;
-        return PolicyCompile{std::move(executed), std::move(compiled)};
-    };
-    spec.allocator = [](const GpuConfig &config, const Program &program) {
-        auto allocator = std::make_unique<RegMutexAllocator>();
-        allocator->prepare(config, program);
-        PreparedAllocator prepared;
-        prepared.mapper = allocator->makeMapper();
-        prepared.allocator = std::move(allocator);
-        return prepared;
-    };
+    spec.compile = compileWithDirectives;
+    spec.allocator = prepareMapped<RegMutexAllocator>;
     return spec;
 }
 
@@ -68,20 +72,8 @@ pairedPolicy()
     PolicySpec spec;
     spec.name = "paired";
     spec.summary = "paired-warps RegMutex specialization (Sec. III-C)";
-    spec.compile = [](const Program &program, const GpuConfig &config,
-                      const CompileOptions &options) {
-        CompileResult compiled = compileRegMutex(program, config, options);
-        Program executed = compiled.program;
-        return PolicyCompile{std::move(executed), std::move(compiled)};
-    };
-    spec.allocator = [](const GpuConfig &config, const Program &program) {
-        auto allocator = std::make_unique<PairedRegMutexAllocator>();
-        allocator->prepare(config, program);
-        PreparedAllocator prepared;
-        prepared.mapper = allocator->makeMapper();
-        prepared.allocator = std::move(allocator);
-        return prepared;
-    };
+    spec.compile = compileWithDirectives;
+    spec.allocator = prepareMapped<PairedRegMutexAllocator>;
     return spec;
 }
 
@@ -148,28 +140,16 @@ PolicyRegistry::PolicyRegistry()
     put(makeRfvPolicy(0.25));
 }
 
-PolicyRegistry &
+const PolicyRegistry &
 PolicyRegistry::instance()
 {
-    static PolicyRegistry registry;
+    static const PolicyRegistry registry;
     return registry;
-}
-
-void
-PolicyRegistry::add(PolicySpec spec)
-{
-    fatalIf(spec.name.empty(), "PolicyRegistry: policy without a name");
-    fatalIf(!spec.compile || !spec.allocator,
-            "PolicyRegistry: policy '", spec.name,
-            "' must provide compile and allocator hooks");
-    const std::lock_guard<std::mutex> lock(guard);
-    specs[spec.name] = std::move(spec);
 }
 
 const PolicySpec *
 PolicyRegistry::find(const std::string &name) const
 {
-    const std::lock_guard<std::mutex> lock(guard);
     const auto it = specs.find(name);
     return it == specs.end() ? nullptr : &it->second;
 }
@@ -190,7 +170,6 @@ PolicyRegistry::at(const std::string &name) const
 std::vector<std::string>
 PolicyRegistry::names() const
 {
-    const std::lock_guard<std::mutex> lock(guard);
     std::vector<std::string> out;
     out.reserve(specs.size());
     for (const auto &[name, spec] : specs)

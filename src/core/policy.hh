@@ -10,15 +10,13 @@
  * (core/sweep.hh), the benches and rm-inspect all draw policies from
  * here instead of hand-rolling per-policy compiler/allocator stacks.
  *
- * Built-ins: "baseline", "regmutex", "paired", "owf", "rfv". New
- * policies (or parameterized variants, e.g. a different RFV
- * provisioning) register through PolicyRegistry::add() and are then
- * available to every consumer, including sweep grids, by name.
+ * The registry holds the five built-ins: "baseline", "regmutex",
+ * "paired", "owf", "rfv". A variant (e.g. makeRfvPolicy() with a
+ * different provisioning) runs through runPolicy(const PolicySpec &).
  */
 
 #include <functional>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -75,20 +73,15 @@ struct PolicySpec
 };
 
 /**
- * Name-indexed policy registry. The singleton instance() comes
- * pre-populated with the five built-in policies; add() registers (or
- * replaces) additional ones. All operations are thread-safe; the
- * PolicySpec pointers/references returned stay valid for the
- * registry's lifetime.
+ * The five built-in policies by name, built once and never changed,
+ * so lookups from any thread need no lock. The PolicySpec pointers and
+ * references returned stay valid for the process lifetime.
  */
 class PolicyRegistry
 {
   public:
-    /** The process-wide registry, built-ins pre-registered. */
-    static PolicyRegistry &instance();
-
-    /** Register @p spec, replacing any existing policy of that name. */
-    void add(PolicySpec spec);
+    /** The process-wide registry. */
+    static const PolicyRegistry &instance();
 
     /** Lookup; nullptr when unknown. */
     const PolicySpec *find(const std::string &name) const;
@@ -102,15 +95,12 @@ class PolicyRegistry
   private:
     PolicyRegistry();
 
-    mutable std::mutex guard;
-    /** Node-stable container: spec addresses survive later add()s. */
     std::map<std::string, PolicySpec> specs;
 };
 
 /**
  * An RFV PolicySpec with a custom occupancy provisioning (the built-in
- * "rfv" uses the paper's 0.25). Register it under a distinct name to
- * sweep provisioning levels.
+ * "rfv" uses the paper's 0.25), for runPolicy(const PolicySpec &).
  */
 PolicySpec makeRfvPolicy(double provisioning,
                          std::string name = "rfv");

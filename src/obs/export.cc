@@ -3,11 +3,30 @@
 #include <algorithm>
 #include <map>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
 #include "isa/disasm.hh"
 #include "isa/program.hh"
 
 namespace rm {
+
+namespace {
+
+/**
+ * A kSummedCounters JSON path split at its dot: {"stalls",
+ * "scoreboard"} for "stalls.scoreboard", {"", key} for a top-level key.
+ */
+std::pair<std::string_view, std::string_view>
+splitJsonPath(std::string_view path)
+{
+    const std::size_t dot = path.find('.');
+    if (dot == std::string_view::npos)
+        return {std::string_view(), path};
+    return {path.substr(0, dot), path.substr(dot + 1)};
+}
+
+} // namespace
 
 void
 statsToJson(JsonWriter &w, const SimStats &stats)
@@ -23,28 +42,30 @@ statsToJson(JsonWriter &w, const SimStats &stats)
     w.key("theoretical_warps").value(stats.theoreticalWarps);
     w.key("theoretical_occupancy").value(stats.theoreticalOccupancy);
     w.key("avg_resident_warps").value(stats.avgResidentWarps);
-    w.key("acquire_attempts").value(stats.acquireAttempts);
-    w.key("acquire_successes").value(stats.acquireSuccesses);
-    w.key("acquire_already_held").value(stats.acquireAlreadyHeld);
-    w.key("acquire_success_rate").value(stats.acquireSuccessRate());
-    w.key("releases").value(stats.releases);
-    w.key("issued_slots").value(stats.issuedSlots);
-    w.key("idle_scheduler_slots").value(stats.idleSchedulerSlots);
-    w.key("stalls").beginObject();
-    w.key("scoreboard").value(stats.scoreboardStalls);
-    w.key("mem_structural").value(stats.memStructuralStalls);
-    w.key("barrier").value(stats.barrierStalls);
-    w.key("acquire").value(stats.acquireStalls);
-    w.key("resource").value(stats.resourceStalls);
-    w.key("no_warp").value(stats.noWarpStalls);
-    w.endObject();
-    w.key("emergency_spills").value(stats.emergencySpills);
-    w.key("lock_acquisitions").value(stats.lockAcquisitions);
-    w.key("ext_reg_accesses").value(stats.extRegAccesses);
-    w.key("bank_conflicts").value(stats.bankConflicts);
-    w.key("deadlocked").value(stats.deadlocked);
-    w.key("deadlock_cause").value(deadlockCauseName(stats.deadlockCause));
-    w.key("fault_events").value(stats.faultEvents);
+    // The counters in table order; consecutive rows that share a
+    // parent ("stalls") share one nested object. The derived rate and
+    // the deadlock fields keep their places beside two of the rows.
+    std::string_view open;
+    for (const SummedCounter &row : kSummedCounters) {
+        const auto [parent, key] = splitJsonPath(row.jsonPath);
+        if (parent != open) {
+            if (!open.empty())
+                w.endObject();
+            if (!parent.empty())
+                w.key(parent).beginObject();
+            open = parent;
+        }
+        if (row.member == &SimStats::faultEvents) {
+            w.key("deadlocked").value(stats.deadlocked);
+            w.key("deadlock_cause")
+                .value(deadlockCauseName(stats.deadlockCause));
+        }
+        w.key(key).value(stats.*row.member);
+        if (row.member == &SimStats::acquireAlreadyHeld)
+            w.key("acquire_success_rate").value(stats.acquireSuccessRate());
+    }
+    if (!open.empty())
+        w.endObject();
     if (stats.hang) {
         w.key("hang");
         diagnosisToJson(w, *stats.hang);
@@ -100,29 +121,17 @@ statsFromJson(const JsonValue &value)
     s.theoreticalWarps = jsonInt(value, "theoretical_warps");
     s.theoreticalOccupancy = jsonNumber(value, "theoretical_occupancy");
     s.avgResidentWarps = jsonNumber(value, "avg_resident_warps");
-    s.acquireAttempts = jsonU64(value, "acquire_attempts");
-    s.acquireSuccesses = jsonU64(value, "acquire_successes");
-    s.acquireAlreadyHeld = jsonU64(value, "acquire_already_held");
-    s.releases = jsonU64(value, "releases");
-    s.issuedSlots = jsonU64(value, "issued_slots");
-    s.idleSchedulerSlots = jsonU64(value, "idle_scheduler_slots");
-    if (const JsonValue *stalls = jsonObject(value, "stalls")) {
-        s.scoreboardStalls = jsonU64(*stalls, "scoreboard");
-        s.memStructuralStalls = jsonU64(*stalls, "mem_structural");
-        s.barrierStalls = jsonU64(*stalls, "barrier");
-        s.acquireStalls = jsonU64(*stalls, "acquire");
-        s.resourceStalls = jsonU64(*stalls, "resource");
-        s.noWarpStalls = jsonU64(*stalls, "no_warp");
+    for (const SummedCounter &row : kSummedCounters) {
+        const auto [parent, key] = splitJsonPath(row.jsonPath);
+        const JsonValue *object =
+            parent.empty() ? &value : jsonObject(value, parent);
+        if (object)
+            s.*row.member = jsonU64(*object, key);
     }
-    s.emergencySpills = jsonU64(value, "emergency_spills");
-    s.lockAcquisitions = jsonU64(value, "lock_acquisitions");
-    s.extRegAccesses = jsonU64(value, "ext_reg_accesses");
-    s.bankConflicts = jsonU64(value, "bank_conflicts");
     s.deadlocked = jsonBool(value, "deadlocked");
     if (value.has("deadlock_cause"))
         s.deadlockCause =
             deadlockCauseFromName(jsonString(value, "deadlock_cause"));
-    s.faultEvents = jsonU64(value, "fault_events");
     if (const JsonValue *v = jsonObject(value, "hang"))
         s.hang = std::make_shared<const HangDiagnosis>(
             diagnosisFromJson(*v));

@@ -37,8 +37,9 @@ class Program;
 
 /**
  * Append @p stats as a JSON object to @p writer (for embedding in a
- * larger document). The key set is frozen by a golden-file test; add
- * keys deliberately and update tests/golden/simstats_keys.txt. When a
+ * larger document). Counter keys are the kSummedCounters JSON paths.
+ * The key set is frozen by a golden-file test; add keys deliberately
+ * and update tests/golden/simstats_keys.txt. When a
  * hang diagnosis is attached (stats.hang) it is embedded under the
  * optional "hang" key.
  */

@@ -42,8 +42,8 @@ mergeSmStats(const std::vector<SimStats> &per_sm)
     agg.cycles = 0;
     agg.instructions = 0;
     agg.ctasCompleted = 0;
-    for (const auto counter : kSummedCounters)
-        agg.*counter = 0;
+    for (const SummedCounter &row : kSummedCounters)
+        agg.*row.member = 0;
     agg.deadlocked = false;
     agg.deadlockCause = DeadlockCause::None;
     agg.hang = nullptr;
@@ -54,8 +54,8 @@ mergeSmStats(const std::vector<SimStats> &per_sm)
         agg.cycles = std::max(agg.cycles, sm.cycles);
         agg.instructions += sm.instructions;
         agg.ctasCompleted += sm.ctasCompleted;
-        for (const auto counter : kSummedCounters)
-            agg.*counter += sm.*counter;
+        for (const SummedCounter &row : kSummedCounters)
+            agg.*row.member += sm.*row.member;
         agg.deadlocked = agg.deadlocked || sm.deadlocked;
         // First deadlocked SM (in id order) provides the machine-level
         // cause and forensics snapshot.

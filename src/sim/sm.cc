@@ -1020,22 +1020,14 @@ void
 Sm::publishMetrics() const
 {
     MetricsRegistry &m = *metrics;
-    m.counter("issue.slots_issued").set(stats.issuedSlots);
-    m.counter("issue.idle_slots").set(stats.idleSchedulerSlots);
+    for (const SummedCounter &row : kSummedCounters) {
+        if (row.metric)
+            m.counter(row.metric).set(stats.*row.member);
+    }
     m.counter("issue.instructions").set(stats.instructions);
-    m.counter("stall.scoreboard").set(stats.scoreboardStalls);
-    m.counter("stall.mem_structural").set(stats.memStructuralStalls);
-    m.counter("stall.barrier").set(stats.barrierStalls);
-    m.counter("stall.acquire").set(stats.acquireStalls);
-    m.counter("stall.resource").set(stats.resourceStalls);
-    m.counter("stall.no_warp").set(stats.noWarpStalls);
-    m.counter("srp.acquire_attempts").set(stats.acquireAttempts);
-    m.counter("srp.acquire_successes").set(stats.acquireSuccesses);
     // Every attempt that did not succeed was a Blocked outcome.
     m.counter("srp.acquire_blocked")
         .set(stats.acquireAttempts - stats.acquireSuccesses);
-    m.counter("srp.releases").set(stats.releases);
-    m.counter("sim.emergency_spills").set(stats.emergencySpills);
 
     int holders = 0;
     for (int slot = 0; slot < warps.numSlots(); ++slot) {

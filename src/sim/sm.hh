@@ -302,7 +302,8 @@ class Sm
 
     /**
      * Write the metric catalog into the attached registry: counters
-     * are SimStats fields, gauges are live SM state (see
+     * are the kSummedCounters rows that name a metric, plus
+     * instructions and blocked acquires; gauges are live SM state (see
      * docs/OBSERVABILITY.md). Runs at every sample and leg end, so a
      * resumed run reports whole-run totals.
      */

@@ -244,8 +244,8 @@ saveStats(SnapshotWriter &w, const SimStats &s)
     w.i32(s.theoreticalWarps);
     w.f64(s.theoreticalOccupancy);
     w.f64(s.avgResidentWarps);
-    for (const auto counter : kSummedCounters)
-        w.u64(s.*counter);
+    for (const SummedCounter &row : kSummedCounters)
+        w.u64(s.*row.member);
     w.boolean(s.deadlocked);
     w.u8(static_cast<std::uint8_t>(s.deadlockCause));
 }
@@ -263,8 +263,8 @@ loadStats(SnapshotReader &r)
     s.theoreticalWarps = r.i32();
     s.theoreticalOccupancy = r.f64();
     s.avgResidentWarps = r.f64();
-    for (const auto counter : kSummedCounters)
-        s.*counter = r.u64();
+    for (const SummedCounter &row : kSummedCounters)
+        s.*row.member = r.u64();
     s.deadlocked = r.boolean();
     const std::uint8_t cause = r.u8();
     if (cause > static_cast<std::uint8_t>(DeadlockCause::Barrier))

@@ -35,8 +35,8 @@ deadlockCauseFromName(const std::string &name)
 bool
 operator==(const SimStats &a, const SimStats &b)
 {
-    for (const auto counter : kSummedCounters) {
-        if (a.*counter != b.*counter)
+    for (const SummedCounter &row : kSummedCounters) {
+        if (a.*row.member != b.*row.member)
             return false;
     }
     return a.kernelName == b.kernelName &&

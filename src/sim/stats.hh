@@ -109,22 +109,45 @@ struct SimStats
     }
 };
 
+/** One kSummedCounters row. */
+struct SummedCounter
+{
+    std::uint64_t SimStats::*member;
+    /** statsToJson key; "stalls.scoreboard" nests it in "stalls". */
+    const char *jsonPath;
+    /** The counter Sm::publishMetrics sets from it, or nullptr. */
+    const char *metric;
+};
+
 /**
- * The SimStats counters that add up across SMs, in snapshot order
- * (acquireAttempts through faultEvents). mergeSmStats sums them, and
- * the snapshot codec and operator== walk them, so a new counter is
- * added here once.
+ * The SimStats counters that add up across SMs (acquireAttempts
+ * through faultEvents), in snapshot order, which is also their
+ * statsToJson order. mergeSmStats sums them, operator== compares them,
+ * the snapshot and JSON codecs encode them and Sm::publishMetrics
+ * publishes them, so a new counter is one row here (DESIGN.md, "Adding
+ * a counter").
  */
-inline constexpr std::uint64_t SimStats::*kSummedCounters[] = {
-    &SimStats::acquireAttempts,  &SimStats::acquireSuccesses,
-    &SimStats::acquireAlreadyHeld, &SimStats::releases,
-    &SimStats::issuedSlots,      &SimStats::idleSchedulerSlots,
-    &SimStats::scoreboardStalls, &SimStats::memStructuralStalls,
-    &SimStats::barrierStalls,    &SimStats::acquireStalls,
-    &SimStats::resourceStalls,   &SimStats::noWarpStalls,
-    &SimStats::emergencySpills,  &SimStats::lockAcquisitions,
-    &SimStats::extRegAccesses,   &SimStats::bankConflicts,
-    &SimStats::faultEvents,
+inline constexpr SummedCounter kSummedCounters[] = {
+    {&SimStats::acquireAttempts, "acquire_attempts", "srp.acquire_attempts"},
+    {&SimStats::acquireSuccesses, "acquire_successes",
+     "srp.acquire_successes"},
+    {&SimStats::acquireAlreadyHeld, "acquire_already_held", nullptr},
+    {&SimStats::releases, "releases", "srp.releases"},
+    {&SimStats::issuedSlots, "issued_slots", "issue.slots_issued"},
+    {&SimStats::idleSchedulerSlots, "idle_scheduler_slots",
+     "issue.idle_slots"},
+    {&SimStats::scoreboardStalls, "stalls.scoreboard", "stall.scoreboard"},
+    {&SimStats::memStructuralStalls, "stalls.mem_structural",
+     "stall.mem_structural"},
+    {&SimStats::barrierStalls, "stalls.barrier", "stall.barrier"},
+    {&SimStats::acquireStalls, "stalls.acquire", "stall.acquire"},
+    {&SimStats::resourceStalls, "stalls.resource", "stall.resource"},
+    {&SimStats::noWarpStalls, "stalls.no_warp", "stall.no_warp"},
+    {&SimStats::emergencySpills, "emergency_spills", "sim.emergency_spills"},
+    {&SimStats::lockAcquisitions, "lock_acquisitions", nullptr},
+    {&SimStats::extRegAccesses, "ext_reg_accesses", nullptr},
+    {&SimStats::bankConflicts, "bank_conflicts", nullptr},
+    {&SimStats::faultEvents, "fault_events", nullptr},
 };
 
 /**

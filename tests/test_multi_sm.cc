@@ -12,47 +12,22 @@
 #include <cmath>
 
 #include "core/experiment.hh"
+#include "obs/export.hh"
 #include "sim/diagnosis.hh"
 #include "sim/fault.hh"
 #include "sim/gpu.hh"
 #include "workloads/suite.hh"
 
 namespace rm {
-namespace {
 
-/** Exact (bit-identical) SimStats equality, field by field. */
+/** gtest prints a SimStats as its statsToJson document. */
 void
-expectSameStats(const SimStats &a, const SimStats &b)
+PrintTo(const SimStats &stats, std::ostream *os)
 {
-    EXPECT_EQ(a.kernelName, b.kernelName);
-    EXPECT_EQ(a.allocatorName, b.allocatorName);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.ctasCompleted, b.ctasCompleted);
-    EXPECT_EQ(a.theoreticalCtas, b.theoreticalCtas);
-    EXPECT_EQ(a.theoreticalWarps, b.theoreticalWarps);
-    EXPECT_EQ(a.theoreticalOccupancy, b.theoreticalOccupancy);
-    EXPECT_EQ(a.avgResidentWarps, b.avgResidentWarps);
-    EXPECT_EQ(a.acquireAttempts, b.acquireAttempts);
-    EXPECT_EQ(a.acquireSuccesses, b.acquireSuccesses);
-    EXPECT_EQ(a.acquireAlreadyHeld, b.acquireAlreadyHeld);
-    EXPECT_EQ(a.releases, b.releases);
-    EXPECT_EQ(a.issuedSlots, b.issuedSlots);
-    EXPECT_EQ(a.idleSchedulerSlots, b.idleSchedulerSlots);
-    EXPECT_EQ(a.scoreboardStalls, b.scoreboardStalls);
-    EXPECT_EQ(a.memStructuralStalls, b.memStructuralStalls);
-    EXPECT_EQ(a.barrierStalls, b.barrierStalls);
-    EXPECT_EQ(a.acquireStalls, b.acquireStalls);
-    EXPECT_EQ(a.resourceStalls, b.resourceStalls);
-    EXPECT_EQ(a.noWarpStalls, b.noWarpStalls);
-    EXPECT_EQ(a.emergencySpills, b.emergencySpills);
-    EXPECT_EQ(a.lockAcquisitions, b.lockAcquisitions);
-    EXPECT_EQ(a.extRegAccesses, b.extRegAccesses);
-    EXPECT_EQ(a.bankConflicts, b.bankConflicts);
-    EXPECT_EQ(a.faultEvents, b.faultEvents);
-    EXPECT_EQ(a.deadlocked, b.deadlocked);
-    EXPECT_EQ(a.deadlockCause, b.deadlockCause);
+    *os << statsToJson(stats);
 }
+
+namespace {
 
 TEST(CtaDistribution, SharesSumToGridAndDifferByAtMostOne)
 {
@@ -107,7 +82,7 @@ TEST(MultiSm, FullMachineWithOneSmMatchesSeedSimulatePath)
     const PolicyRun full = runPolicy("baseline", p, config, options);
 
     ASSERT_EQ(full.result.numSms(), 1);
-    expectSameStats(seed, full.stats());
+    EXPECT_EQ(seed, full.stats());
 }
 
 TEST(MultiSm, RepresentativeModeIsTheDefaultSeedBehavior)
@@ -124,7 +99,7 @@ TEST(MultiSm, RepresentativeModeIsTheDefaultSeedBehavior)
     // Default mode simulates one representative SM regardless of
     // config.numSms, exactly like the seed model.
     ASSERT_EQ(run.result.numSms(), 1);
-    expectSameStats(seed, run.stats());
+    EXPECT_EQ(seed, run.stats());
 }
 
 TEST(MultiSm, DeterministicAcrossEngineThreadCounts)
@@ -150,11 +125,11 @@ TEST(MultiSm, DeterministicAcrossEngineThreadCounts)
     ASSERT_EQ(pool.numSms(), 5);
     for (int sm = 0; sm < 5; ++sm) {
         const auto i = static_cast<std::size_t>(sm);
-        expectSameStats(serial.perSm[i], four.perSm[i]);
-        expectSameStats(serial.perSm[i], pool.perSm[i]);
+        EXPECT_EQ(serial.perSm[i], four.perSm[i]);
+        EXPECT_EQ(serial.perSm[i], pool.perSm[i]);
     }
-    expectSameStats(serial.aggregate, four.aggregate);
-    expectSameStats(serial.aggregate, pool.aggregate);
+    EXPECT_EQ(serial.aggregate, four.aggregate);
+    EXPECT_EQ(serial.aggregate, pool.aggregate);
 }
 
 TEST(MultiSm, AggregateIdentitiesHold)
@@ -211,7 +186,7 @@ TEST(MultiSm, FullMachineAgreesWithRepresentativeModel)
     EXPECT_LT(drift, 0.05);
     // SM 0 shares the representative SM's seed and grid share, so it
     // reproduces the single-SM run bit-exactly.
-    expectSameStats(rep, full.result.perSm.front());
+    EXPECT_EQ(rep, full.result.perSm.front());
 }
 
 TEST(MultiSm, WatchdogOnOneSmPropagatesCleanlyOutOfThreadPool)

@@ -488,6 +488,69 @@ TEST(Export, StrippedHangObjectDefaultsItsFields)
     EXPECT_TRUE(s.hang->srpHolders.empty());
 }
 
+// --- kSummedCounters: each codec and the merge walk every row --------
+
+/** Every row at a distinct value and every other field off default. */
+SimStats
+distinctStats()
+{
+    SimStats s;
+    s.kernelName = "K";
+    s.allocatorName = "regmutex";
+    s.cycles = 90001;
+    s.instructions = 90002;
+    s.ctasCompleted = 90003;
+    s.theoreticalCtas = 7;
+    s.theoreticalWarps = 42;
+    s.theoreticalOccupancy = 0.875;
+    s.avgResidentWarps = 31.5;
+    std::uint64_t value = 1001;
+    for (const SummedCounter &row : kSummedCounters)
+        s.*row.member = value++;
+    s.deadlocked = true;
+    s.deadlockCause = DeadlockCause::Barrier;
+    s.hang = std::make_shared<const HangDiagnosis>(sampleDiagnosis());
+    return s;
+}
+
+TEST(SummedCounters, EveryRowSurvivesBothCodecs)
+{
+    const SimStats s = distinctStats();
+    EXPECT_EQ(statsFromJson(parseJson(statsToJson(s))), s);
+
+    // The snapshot does not carry the hang forensics.
+    SimStats unhung = s;
+    unhung.hang = nullptr;
+    SnapshotWriter w;
+    saveStats(w, unhung);
+    SnapshotReader r(w.buffer());
+    EXPECT_EQ(loadStats(r), unhung);
+    EXPECT_TRUE(r.atEnd());
+}
+
+TEST(SummedCounters, EveryRowSitsAtItsJsonPath)
+{
+    const SimStats s = distinctStats();
+    const JsonValue doc = parseJson(statsToJson(s));
+    for (const SummedCounter &row : kSummedCounters) {
+        const std::string path = row.jsonPath;
+        const std::size_t dot = path.find('.');
+        const JsonValue &leaf =
+            dot == std::string::npos
+                ? doc.at(path)
+                : doc.at(path.substr(0, dot)).at(path.substr(dot + 1));
+        EXPECT_EQ(leaf.number, static_cast<double>(s.*row.member)) << path;
+    }
+}
+
+TEST(SummedCounters, MergeDoublesEveryRow)
+{
+    const SimStats s = distinctStats();
+    const SimStats merged = mergeSmStats({s, s});
+    for (const SummedCounter &row : kSummedCounters)
+        EXPECT_EQ(merged.*row.member, 2 * (s.*row.member)) << row.jsonPath;
+}
+
 // --- End to end: a real run through the full stack -------------------
 
 class ObservedRun : public ::testing::Test
